@@ -25,6 +25,10 @@ cmake -B "${BUILD_DIR}" -S .
 cmake --build "${BUILD_DIR}" -j
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 
+# realtime_test runs under both legs for the detector's lazily deleted
+# deadline-heap entries and alerted-route map (the ObsLive* suites in
+# live_test cover the snapshot vectors shared across threads).
+#
 # heap_test runs under both sanitizer legs deliberately: the zsheap
 # allocator interposition compiles itself out under ASan/TSan (the
 # sanitizer owns malloc) and start() refuses at runtime via the weak
@@ -34,7 +38,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 OBS_TARGETS="obs_test journal_test http_test prof_test benchdiff_test prof_compileout_test \
   heap_test heap_compileout_test lathist_test lathist_compileout_test \
   tsdb_test tsdb_compileout_test \
-  causal_test causal_e2e_test causal_compileout_test live_test \
+  causal_test causal_e2e_test causal_compileout_test live_test realtime_test \
   wire_test wirefault_test zswire zslived zstop"
 
 # A 30-second zslived soak under the instrumented build: the tap demo
@@ -263,7 +267,7 @@ echo "== tier-1: obs tests under ThreadSanitizer (${TSAN_DIR})"
 cmake -B "${TSAN_DIR}" -S . -DZS_SANITIZE=thread
 # shellcheck disable=SC2086
 cmake --build "${TSAN_DIR}" -j --target ${OBS_TARGETS}
-ctest --test-dir "${TSAN_DIR}" --output-on-failure -R '^Obs|^Wire'
+ctest --test-dir "${TSAN_DIR}" --output-on-failure -R '^Obs|^Wire|^RealTime'
 soak_zslived "${TSAN_DIR}" "tsan"
 soak_bgp "${TSAN_DIR}" "tsan"
 
@@ -271,7 +275,7 @@ echo "== tier-1: obs tests under ASan+UBSan (${ASAN_DIR})"
 cmake -B "${ASAN_DIR}" -S . -DZS_SANITIZE=address,undefined
 # shellcheck disable=SC2086
 cmake --build "${ASAN_DIR}" -j --target ${OBS_TARGETS}
-ctest --test-dir "${ASAN_DIR}" --output-on-failure -R '^Obs|^Wire'
+ctest --test-dir "${ASAN_DIR}" --output-on-failure -R '^Obs|^Wire|^RealTime'
 soak_zslived "${ASAN_DIR}" "asan"
 soak_bgp "${ASAN_DIR}" "asan"
 

@@ -192,7 +192,12 @@ void LiveService::start() {
         registry.gauge("zs_live_queue_depth_shard" + std::to_string(i));
     shard->m_active =
         registry.gauge("zs_live_active_zombies_shard" + std::to_string(i));
-    shard->snap = std::make_shared<const ShardSnapshot>();
+    // What readers see before the worker's first publish: empty
+    // vectors, never null ones.
+    auto empty = std::make_shared<ShardSnapshot>();
+    empty->zombies = std::make_shared<const std::vector<LiveZombie>>();
+    empty->emerged_pairs = std::make_shared<const std::vector<EmergedPair>>();
+    shard->snap = std::move(empty);
     shards_.push_back(std::move(shard));
   }
   for (std::size_t i = 0; i < config_.shards; ++i) {
@@ -378,8 +383,11 @@ void LiveService::worker_loop(std::size_t shard) {
   // so registering a whole beacon schedule upfront would wipe every
   // cycle's watch except the last before its deadline could fire. Each
   // event is released only once the shard's stream time reaches its
-  // announce_time, after advancing the detector there so the previous
-  // cycle's deadline fires first.
+  // announce_time, after advancing the detector to announce_time - 1
+  // so earlier deadlines fire first. Not to announce_time itself: a
+  // deadline stamped exactly there belongs after the records stamped
+  // there, which batch counts as in time (expect() fires the one
+  // deadline that must not wait — the recycled prefix's own).
   struct PendingExpect {
     beacon::BeaconEvent event;
     std::uint64_t seq = 0;  // registration order breaks announce_time ties
@@ -396,7 +404,7 @@ void LiveService::worker_loop(std::size_t shard) {
     while (!pending.empty() && pending.top().event.announce_time <= t) {
       const beacon::BeaconEvent event = pending.top().event;
       pending.pop();
-      detector.advance(event.announce_time);
+      detector.advance(event.announce_time - 1);
       detector.expect(event);
       if (peerq_on) {
         // Mirror the detector exactly: the cycle opens where the watch
@@ -474,21 +482,39 @@ void LiveService::worker_loop(std::size_t shard) {
     dirty = true;
   });
 
+  // The published zombie and emerged vectors, rebuilt only when the
+  // detector's active set or the emerged set moved since the last
+  // publish; otherwise the next snapshot shares them.
+  auto shared_zombies = std::make_shared<const std::vector<LiveZombie>>();
+  auto shared_pairs = std::make_shared<const std::vector<EmergedPair>>();
+  std::uint64_t zombies_version = detector.active_version();
+
   const auto publish = [&](bool force_peerq = false) {
     const auto publish_start = SteadyClock::now();
+    if (zombies_version != detector.active_version()) {
+      std::vector<LiveZombie> next_zombies;
+      for (auto& alert : detector.active_zombies()) {
+        const bool resurrect = resurrected_keys.contains({alert.prefix, alert.peer});
+        next_zombies.push_back({std::move(alert), resurrect});
+      }
+      shared_zombies =
+          std::make_shared<const std::vector<LiveZombie>>(std::move(next_zombies));
+      zombies_version = detector.active_version();
+    }
+    if (shared_pairs->size() != emerged.size()) {
+      shared_pairs = std::make_shared<const std::vector<EmergedPair>>(emerged.begin(),
+                                                                      emerged.end());
+    }
     auto next = std::make_shared<ShardSnapshot>();
     next->epoch = ++epoch;
     next->clock = clock;
-    for (const auto& alert : detector.active_zombies()) {
-      next->zombies.push_back(
-          {alert, resurrected_keys.contains({alert.prefix, alert.peer})});
-    }
-    next->emerged_pairs.assign(emerged.begin(), emerged.end());
+    next->zombies = shared_zombies;
+    next->emerged_pairs = shared_pairs;
     next->processed = s.processed.load(std::memory_order_relaxed);
     next->emerged = emerged_n;
     next->resurrected = resurrected_n;
     next->died = died_n;
-    s.m_active.set(static_cast<std::int64_t>(next->zombies.size()));
+    s.m_active.set(static_cast<std::int64_t>(shared_zombies->size()));
     // The peer-quality snapshot rides the same lock but is throttled:
     // copied out on classifier-relevant changes (new peer, stuck
     // route, cycle close, session reset) at most every 100 ms — a
@@ -622,7 +648,7 @@ std::vector<LiveZombie> LiveService::zombies() const {
   std::vector<LiveZombie> out;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (const auto snap = snapshot(i)) {
-      out.insert(out.end(), snap->zombies.begin(), snap->zombies.end());
+      out.insert(out.end(), snap->zombies->begin(), snap->zombies->end());
     }
   }
   return out;
@@ -633,7 +659,7 @@ LiveService::emerged_pairs() const {
   std::set<std::pair<netbase::Prefix, zombie::PeerKey>> merged;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (const auto snap = snapshot(i)) {
-      merged.insert(snap->emerged_pairs.begin(), snap->emerged_pairs.end());
+      merged.insert(snap->emerged_pairs->begin(), snap->emerged_pairs->end());
     }
   }
   return {merged.begin(), merged.end()};
@@ -659,7 +685,7 @@ std::vector<ShardStats> LiveService::stats() const {
     }
     if (const auto snap = snapshot(i)) {
       st.epoch = snap->epoch;
-      st.active_zombies = snap->zombies.size();
+      st.active_zombies = snap->zombies->size();
     }
     out.push_back(st);
   }

@@ -101,6 +101,8 @@ struct LiveZombie {
   bool resurrected = false;  // raised after the deadline (live-only)
 };
 
+using EmergedPair = std::pair<netbase::Prefix, zombie::PeerKey>;
+
 /// What a shard worker publishes after each batch: an immutable value
 /// readers access via atomic shared_ptr, never a lock. `epoch`
 /// increments on every publish, so pollers can cheaply detect change
@@ -108,10 +110,14 @@ struct LiveZombie {
 struct ShardSnapshot {
   std::uint64_t epoch = 0;
   netbase::TimePoint clock = 0;  // detector's stream clock
-  std::vector<LiveZombie> zombies;
+  /// Currently stuck routes, sorted by (prefix, peer). Never null.
+  /// Successive snapshots share one vector until a transition changes
+  /// it, so a publish without transitions copies nothing.
+  std::shared_ptr<const std::vector<LiveZombie>> zombies;
   /// Cumulative (prefix, peer) pairs that ever emerged on this shard —
-  /// the batch-equivalent set (resurrections excluded by definition).
-  std::vector<std::pair<netbase::Prefix, zombie::PeerKey>> emerged_pairs;
+  /// the batch-equivalent set (resurrections excluded by definition),
+  /// sorted. Never null; shared like `zombies` until a new pair emerges.
+  std::shared_ptr<const std::vector<EmergedPair>> emerged_pairs;
   std::uint64_t processed = 0;
   std::uint64_t emerged = 0;
   std::uint64_t resurrected = 0;

@@ -31,16 +31,22 @@ void RealTimeZombieDetector::expect(const beacon::BeaconEvent& event) {
   // A recycled prefix supersedes the previous watch. Any zombie the old
   // watch had raised is resolved at the recycle instant: the fresh
   // announcement replaces the stuck route, so the route is no longer
-  // stale even though no withdrawal ever cleared it.
+  // stale even though no withdrawal ever cleared it. An old deadline
+  // that falls exactly on the recycle instant fires first: no later
+  // record can belong to the old window, and a caller that advanced
+  // only to announce_time - 1 (see LiveService) has not fired it yet.
   auto it = watches_.find(event.prefix);
   if (it != watches_.end()) {
-    for (auto& [peer, state] : it->second.peers) {
+    Watch& old = it->second;
+    if (deadline(old) == event.announce_time) fire_deadline(old);
+    for (auto& [peer, state] : old.peers) {
       (void)state;
-      resolve(it->second, peer, event.announce_time);
+      resolve(old, peer, event.announce_time);
     }
   }
   Watch watch;
   watch.event = event;
+  due_.emplace(deadline(watch), event.prefix);
   watches_[event.prefix] = std::move(watch);
 }
 
@@ -48,15 +54,17 @@ void RealTimeZombieDetector::resolve(Watch& watch, const PeerKey& peer,
                                      netbase::TimePoint at) {
   auto it = watch.peers.find(peer);
   if (it == watch.peers.end()) return;
-  if (it->second.alerted && resolution_fn_) {
-    ZombieResolution resolution;
-    resolution.prefix = watch.event.prefix;
-    resolution.peer = peer;
-    resolution.withdrawn_at = watch.event.withdraw_time;
-    resolution.resolved_at = at;
-    resolution_fn_(resolution);
-  }
   if (it->second.alerted) {
+    alerted_.erase({watch.event.prefix, peer});
+    ++active_version_;
+    if (resolution_fn_) {
+      ZombieResolution resolution;
+      resolution.prefix = watch.event.prefix;
+      resolution.peer = peer;
+      resolution.withdrawn_at = watch.event.withdraw_time;
+      resolution.resolved_at = at;
+      resolution_fn_(resolution);
+    }
     ++resolutions_;
     journal_transition(obs::JournalEventType::kZombieCleared, watch.event.prefix,
                        peer, at, config_.threshold, watch.event.withdraw_time);
@@ -65,39 +73,47 @@ void RealTimeZombieDetector::resolve(Watch& watch, const PeerKey& peer,
   it->second.alerted = false;
 }
 
+void RealTimeZombieDetector::raise(const Watch& watch, const PeerKey& peer,
+                                   Watch::PeerState& state, netbase::TimePoint at) {
+  state.alerted = true;
+  ++alerts_raised_;
+  journal_transition(obs::JournalEventType::kZombieDeclared, watch.event.prefix, peer,
+                     at, config_.threshold, watch.event.withdraw_time);
+  ZombieAlert& alert = alerted_[{watch.event.prefix, peer}];
+  alert.prefix = watch.event.prefix;
+  alert.peer = peer;
+  alert.withdrawn_at = watch.event.withdraw_time;
+  alert.raised_at = at;
+  alert.stuck_path = state.path;
+  ++active_version_;
+  if (alert_fn_) alert_fn_(alert);
+}
+
 void RealTimeZombieDetector::fire_deadline(Watch& watch) {
   if (watch.deadline_fired) return;
   watch.deadline_fired = true;
   for (auto& [peer, state] : watch.peers) {
-    if (!state.announced || state.alerted) continue;
-    state.alerted = true;
-    ++alerts_raised_;
-    journal_transition(obs::JournalEventType::kZombieDeclared, watch.event.prefix,
-                       peer, watch.event.withdraw_time + config_.threshold,
-                       config_.threshold, watch.event.withdraw_time);
-    if (alert_fn_) {
-      ZombieAlert alert;
-      alert.prefix = watch.event.prefix;
-      alert.peer = peer;
-      alert.withdrawn_at = watch.event.withdraw_time;
-      alert.raised_at = watch.event.withdraw_time + config_.threshold;
-      alert.stuck_path = state.path;
-      alert_fn_(alert);
-    }
+    if (state.announced && !state.alerted) raise(watch, peer, state, deadline(watch));
   }
 }
 
 void RealTimeZombieDetector::advance(netbase::TimePoint now) {
   now_ = std::max(now_, now);
-  for (auto& [prefix, watch] : watches_) {
-    (void)prefix;
-    if (!watch.deadline_fired && now_ >= watch.event.withdraw_time + config_.threshold)
-      fire_deadline(watch);
+  while (!due_.empty() && due_.top().first <= now_) {
+    const Due due = due_.top();
+    due_.pop();
+    // Lazy deletion: the entry of a superseded watch finds its prefix
+    // watched under another deadline (or already fired) and is dropped.
+    auto it = watches_.find(due.second);
+    if (it != watches_.end() && deadline(it->second) == due.first)
+      fire_deadline(it->second);
   }
 }
 
 void RealTimeZombieDetector::ingest(const mrt::MrtRecord& record) {
-  advance(mrt::record_timestamp(record));
+  // Only deadlines strictly before the record fire here: an update
+  // stamped exactly at withdraw + threshold is still in time.
+  advance(mrt::record_timestamp(record) - 1);
 
   if (const auto* msg = std::get_if<mrt::Bgp4mpMessage>(&record)) {
     const PeerKey peer{msg->peer_asn, msg->peer_address};
@@ -114,24 +130,21 @@ void RealTimeZombieDetector::ingest(const mrt::MrtRecord& record) {
       Watch& watch = it->second;
       auto& state = watch.peers[peer];
       state.announced = true;
-      state.path = msg->update.attributes.as_path;
+      const bgp::AsPath& path = msg->update.attributes.as_path;
+      if (state.alerted) {
+        // Still stuck, possibly on a new path: keep the active entry's
+        // stuck_path current.
+        if (state.path != path) {
+          state.path = path;
+          alerted_[{prefix, peer}].stuck_path = path;
+          ++active_version_;
+        }
+        continue;
+      }
+      state.path = path;
       // A (re)announcement after the deadline: the route is stuck or
       // resurrected — alert immediately.
-      if (watch.deadline_fired && !state.alerted) {
-        state.alerted = true;
-        ++alerts_raised_;
-        journal_transition(obs::JournalEventType::kZombieDeclared, prefix, peer, t,
-                           config_.threshold, watch.event.withdraw_time);
-        if (alert_fn_) {
-          ZombieAlert alert;
-          alert.prefix = prefix;
-          alert.peer = peer;
-          alert.withdrawn_at = watch.event.withdraw_time;
-          alert.raised_at = t;
-          alert.stuck_path = state.path;
-          alert_fn_(alert);
-        }
-      }
+      if (watch.deadline_fired) raise(watch, peer, state, t);
     }
     return;
   }
@@ -149,16 +162,10 @@ void RealTimeZombieDetector::ingest(const mrt::MrtRecord& record) {
 
 std::vector<ZombieAlert> RealTimeZombieDetector::active_zombies() const {
   std::vector<ZombieAlert> out;
-  for (const auto& [prefix, watch] : watches_) {
-    for (const auto& [peer, state] : watch.peers) {
-      if (!state.alerted) continue;
-      ZombieAlert alert;
-      alert.prefix = prefix;
-      alert.peer = peer;
-      alert.withdrawn_at = watch.event.withdraw_time;
-      alert.stuck_path = state.path;
-      out.push_back(std::move(alert));
-    }
+  out.reserve(alerted_.size());
+  for (const auto& [key, alert] : alerted_) {
+    (void)key;
+    out.push_back(alert);
   }
   return out;
 }

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
@@ -55,6 +56,10 @@ struct RealTimeConfig {
 ///   det.expect(event);              // register beacon schedule
 ///   for (record : stream) det.ingest(record);
 ///   det.advance(now);               // heartbeat fires due alerts
+///
+/// Per-record cost does not grow with the number of watches: deadlines
+/// sit in a min-heap and the alerted routes in their own map. A session
+/// reset, which clears the peer from every watch, is the exception.
 class RealTimeZombieDetector {
  public:
   explicit RealTimeZombieDetector(RealTimeConfig config) : config_(std::move(config)) {}
@@ -65,17 +70,31 @@ class RealTimeZombieDetector {
   }
 
   /// Registers an upcoming beacon announce/withdraw pair. Superseded
-  /// events are ignored per the paper's collision rule.
+  /// events are ignored per the paper's collision rule. A watch already
+  /// registered for the prefix is replaced (prefix recycled); if its
+  /// deadline falls exactly on the new announce_time it fires first.
   void expect(const beacon::BeaconEvent& event);
 
-  /// Feeds one record; implies advance(record timestamp).
+  /// Feeds one record. Deadlines strictly before the record's timestamp
+  /// fire first; a deadline equal to it fires only after the record is
+  /// applied, so an update stamped exactly at withdraw + threshold is
+  /// in time, as in the batch LongLivedZombieDetector.
   void ingest(const mrt::MrtRecord& record);
 
-  /// Moves the clock forward, firing alerts whose deadline passed.
+  /// Moves the clock forward, firing every deadline <= now in
+  /// (deadline, prefix) order. Costs O(log watches) per fired or
+  /// superseded deadline, nothing per idle watch.
   void advance(netbase::TimePoint now);
 
-  /// Currently stuck (alerted, unresolved) routes.
+  /// Currently stuck (alerted, unresolved) routes in (prefix, peer)
+  /// order, with the raised_at of their alert and their latest path.
+  /// Walks only the alerted routes.
   std::vector<ZombieAlert> active_zombies() const;
+
+  /// Moves whenever the active_zombies() set, or an alerted route's
+  /// stuck path, changes — a caller holding a copy can skip rebuilding
+  /// it while the value stays put.
+  std::uint64_t active_version() const { return active_version_; }
 
   int alerts_raised() const { return alerts_raised_; }
   int resolutions() const { return resolutions_; }
@@ -97,7 +116,13 @@ class RealTimeZombieDetector {
     return config_.excluded_peers.contains(peer) ||
            config_.excluded_peer_asns.contains(peer.asn);
   }
+  netbase::TimePoint deadline(const Watch& watch) const {
+    return watch.event.withdraw_time + config_.threshold;
+  }
   void fire_deadline(Watch& watch);
+  /// Marks the route alerted, records it in alerted_, and notifies.
+  void raise(const Watch& watch, const PeerKey& peer, Watch::PeerState& state,
+             netbase::TimePoint at);
   void resolve(Watch& watch, const PeerKey& peer, netbase::TimePoint at);
 
   RealTimeConfig config_;
@@ -106,6 +131,14 @@ class RealTimeZombieDetector {
   /// Watches keyed by prefix; a new expect() for the same prefix
   /// supersedes the old watch (prefix recycled).
   std::map<netbase::Prefix, Watch> watches_;
+  /// (deadline, prefix) min-heap driving advance(). A recycled prefix
+  /// leaves its old entry behind; advance() skips an entry whose
+  /// watch has already fired or now carries another deadline.
+  using Due = std::pair<netbase::TimePoint, netbase::Prefix>;
+  std::priority_queue<Due, std::vector<Due>, std::greater<>> due_;
+  /// The alerted, unresolved routes: what active_zombies() returns.
+  std::map<std::pair<netbase::Prefix, PeerKey>, ZombieAlert> alerted_;
+  std::uint64_t active_version_ = 0;
   netbase::TimePoint now_ = 0;
   int alerts_raised_ = 0;
   int resolutions_ = 0;

@@ -92,6 +92,19 @@ TEST_F(LiveE2E, ReplayMatchesBatchDetectorExactly) {
   EXPECT_EQ(live, batch);
 }
 
+TEST_F(LiveE2E, DeadlineTiesMatchBatchExactly) {
+  // Seed 23's archive has a withdrawal stamped exactly at withdraw +
+  // threshold, which batch counts as in time. Beacon deadlines and
+  // announce times share quarter hours, so a shard releasing the next
+  // beacon must not fire the tied deadline before that record.
+  const auto seeded =
+      scenarios::run_longlived2024(scenarios::LongLived2024Spec{.seed = 23});
+  const netbase::Duration threshold = 90 * netbase::kMinute;
+  const auto batch = batch_pairs(seeded, threshold);
+  ASSERT_FALSE(batch.empty());
+  EXPECT_EQ(live_pairs(seeded, threshold, 2, /*speed=*/0.0), batch);
+}
+
 TEST_F(LiveE2E, ShardCountDoesNotChangeTheZombieSet) {
   const netbase::Duration threshold = 90 * netbase::kMinute;
   const auto one = live_pairs(*output_, threshold, 1, /*speed=*/0.0);

@@ -294,6 +294,56 @@ TEST(ObsLiveShard, EpochsAdvanceMonotonically) {
   service.stop();
 }
 
+TEST(ObsLiveShard, SnapshotsShareZombieVectorsUntilATransition) {
+  // A publish with no transition reuses the previous snapshot's zombie
+  // and emerged vectors; a transition replaces the one it changed.
+  LiveConfig config;
+  config.shards = 1;
+  config.block_on_full = true;
+  config.detector.threshold = 5 * kMinute;
+  LiveService service(config);
+  service.start();
+  // Readers may come before the worker's first publish.
+  EXPECT_TRUE(service.zombies().empty());
+  EXPECT_TRUE(service.emerged_pairs().empty());
+  const auto t0 = netbase::utc(2024, 6, 4, 12, 0, 0);
+  const auto prefix = Prefix::parse("2a0d:3dc1:1200::/48");
+  const auto w = t0 + 10 * kMinute;
+  service.expect({prefix, t0, w, false});
+  ASSERT_TRUE(service.submit(announce(t0 + 10, peer_a(), prefix)));
+  service.finalize(w + 4 * kMinute);
+  const auto before = service.snapshot(0);
+  EXPECT_TRUE(before->zombies->empty());
+  EXPECT_TRUE(before->emerged_pairs->empty());
+
+  // Emerge: both vectors replaced.
+  service.finalize(w + 6 * kMinute);
+  const auto emerged = service.snapshot(0);
+  EXPECT_NE(emerged->zombies.get(), before->zombies.get());
+  EXPECT_NE(emerged->emerged_pairs.get(), before->emerged_pairs.get());
+  ASSERT_EQ(emerged->zombies->size(), 1u);
+  ASSERT_EQ(emerged->emerged_pairs->size(), 1u);
+
+  // A record that changes no zombie: a new epoch over the same vectors.
+  ASSERT_TRUE(service.submit(
+      announce(w + 7 * kMinute, peer_b(), Prefix::parse("10.0.0.0/16"))));
+  service.finalize(w + 8 * kMinute);
+  const auto quiet = service.snapshot(0);
+  EXPECT_GT(quiet->epoch, emerged->epoch);
+  EXPECT_EQ(quiet->processed, emerged->processed + 1);
+  EXPECT_EQ(quiet->zombies.get(), emerged->zombies.get());
+  EXPECT_EQ(quiet->emerged_pairs.get(), emerged->emerged_pairs.get());
+
+  // Die: the zombie vector is replaced, the emerged set stays shared.
+  ASSERT_TRUE(service.submit(withdraw(w + 9 * kMinute, peer_a(), prefix)));
+  service.finalize(w + 10 * kMinute);
+  const auto died = service.snapshot(0);
+  EXPECT_NE(died->zombies.get(), quiet->zombies.get());
+  EXPECT_TRUE(died->zombies->empty());
+  EXPECT_EQ(died->emerged_pairs.get(), quiet->emerged_pairs.get());
+  service.stop();
+}
+
 // ---------------------------------------------------------------------------
 // SSE framing and streaming
 // ---------------------------------------------------------------------------
@@ -1069,6 +1119,8 @@ TEST(ObsPeerQ, ServicePublishesPeersEndpointAndProvenance) {
   EXPECT_NE(json.find("\"asn\":64500"), std::string::npos);
   EXPECT_NE(json.find("\"asn\":64501"), std::string::npos);
   const std::string zombies = service.zombies_json();
+  // Raised at the deadline: withdraw (1000 + 2 h) + 90 min.
+  EXPECT_NE(zombies.find("\"raised_at\":13600"), std::string::npos) << zombies;
   EXPECT_NE(zombies.find("\"support_peers\":1"), std::string::npos);
   EXPECT_NE(zombies.find("\"support_non_noisy\":1"), std::string::npos);
   EXPECT_NE(zombies.find("\"confidence\":"), std::string::npos);
@@ -1236,6 +1288,10 @@ TEST(ObsLiveLatency, LoopbackClientMeasuresEndToEndDelivery) {
   ASSERT_TRUE(server.start(0));
   LoopbackLatencyClient client(server.port());
   ASSERT_TRUE(client.start());
+  // A subscriber starts at the channel head, so wait for the stream's
+  // response headers: transitions published before them never arrive.
+  for (int spins = 0; spins < 200 && client.bytes_read() == 0; ++spins)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
 
   // Two peers never withdraw inside the window: two emerge transitions
   // carry ingest_ns stamps through the SSE stream back to the client.

@@ -74,7 +74,8 @@ TEST(RealTime, AlertsAtDeadlineForStuckRoute) {
   EXPECT_EQ(h.alerts[0].peer, peer_a());
   EXPECT_EQ(h.alerts[0].prefix, kBeacon);
   EXPECT_EQ(h.alerts[0].withdrawn_at, t0 + 15 * kMinute);
-  EXPECT_EQ(h.detector.active_zombies().size(), 1u);
+  ASSERT_EQ(h.detector.active_zombies().size(), 1u);
+  EXPECT_EQ(h.detector.active_zombies()[0].raised_at, t0 + 15 * kMinute + 90 * kMinute);
 }
 
 TEST(RealTime, ResolutionReportsStuckDuration) {
@@ -125,6 +126,8 @@ TEST(RealTime, LateAnnouncementAfterDeadlineAlertsImmediately) {
   h.detector.ingest(announce(w + 170 * kMinute, peer_a(), kBeacon));
   ASSERT_EQ(h.alerts.size(), 1u);
   EXPECT_EQ(h.alerts[0].raised_at, w + 170 * kMinute);
+  ASSERT_EQ(h.detector.active_zombies().size(), 1u);
+  EXPECT_EQ(h.detector.active_zombies()[0].raised_at, w + 170 * kMinute);
 }
 
 TEST(RealTime, RecycledPrefixSupersedesWatch) {
@@ -137,6 +140,107 @@ TEST(RealTime, RecycledPrefixSupersedesWatch) {
   h.detector.advance(t0 + 24 * kHour);
   // The old watch is gone: no alert for the old interval.
   EXPECT_TRUE(h.alerts.empty());
+}
+
+TEST(RealTime, WithdrawalAtExactDeadlineIsInTime) {
+  // The batch detector counts an update stamped exactly at withdraw +
+  // threshold as in time; ingest() must apply it before that deadline
+  // fires. An explicit advance() to the deadline stays inclusive.
+  Harness h;
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  const auto deadline = t0 + 15 * kMinute + 90 * kMinute;
+  h.detector.expect(event_at(t0));
+  h.detector.ingest(announce(t0 + 10, peer_a(), kBeacon));
+  h.detector.ingest(announce(t0 + 12, peer_b(), kBeacon));
+  h.detector.ingest(withdraw(deadline, peer_a(), kBeacon));
+  EXPECT_TRUE(h.alerts.empty());
+  h.detector.advance(deadline);
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].peer, peer_b());
+  EXPECT_EQ(h.alerts[0].raised_at, deadline);
+}
+
+TEST(RealTime, DeadlinesDueTogetherFireInDeadlineOrder) {
+  // Prefix order is the reverse of deadline order here, so the firing
+  // order shows which one the detector follows.
+  Harness h;
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  const Prefix late = Prefix::parse("2a0d:3dc1:1100::/48");
+  const Prefix early = Prefix::parse("2a0d:3dc1:1200::/48");
+  const Prefix middle = Prefix::parse("2a0d:3dc1:1300::/48");
+  h.detector.expect({late, t0, t0 + 45 * kMinute, false});
+  h.detector.expect({early, t0, t0 + 15 * kMinute, false});
+  h.detector.expect({middle, t0, t0 + 30 * kMinute, false});
+  for (const Prefix& prefix : {late, early, middle})
+    h.detector.ingest(announce(t0 + 10, peer_a(), prefix));
+  h.detector.advance(t0 + 6 * kHour);
+  ASSERT_EQ(h.alerts.size(), 3u);
+  EXPECT_EQ(h.alerts[0].prefix, early);
+  EXPECT_EQ(h.alerts[1].prefix, middle);
+  EXPECT_EQ(h.alerts[2].prefix, late);
+  EXPECT_LT(h.alerts[0].raised_at, h.alerts[1].raised_at);
+  EXPECT_LT(h.alerts[1].raised_at, h.alerts[2].raised_at);
+}
+
+TEST(RealTime, RecycledPrefixOldDeadlineNeverFires) {
+  // The prefix recycles before the first watch's deadline: that
+  // deadline passes without an alert, and the new watch's still fires.
+  Harness h;
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  const auto t1 = t0 + 30 * kMinute;
+  h.detector.expect(event_at(t0));
+  h.detector.ingest(announce(t0 + 10, peer_a(), kBeacon));
+  h.detector.expect(event_at(t1));
+  h.detector.ingest(announce(t1 + 10, peer_b(), kBeacon));
+  h.detector.advance(t0 + 15 * kMinute + 90 * kMinute);
+  EXPECT_TRUE(h.alerts.empty()) << "the superseded watch's deadline fired";
+  h.detector.advance(t1 + 15 * kMinute + 90 * kMinute);
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].peer, peer_b());
+  EXPECT_EQ(h.alerts[0].withdrawn_at, t1 + 15 * kMinute);
+}
+
+TEST(RealTime, DeadlineOnTheRecycleInstantFiresBeforeTheWatchIsReplaced) {
+  // A live shard advances only to announce_time - 1 before expect();
+  // the old window's deadline at exactly that instant still fires, and
+  // the recycle then resolves the alert.
+  Harness h;
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  const auto deadline = t0 + 15 * kMinute + 90 * kMinute;
+  h.detector.expect(event_at(t0));
+  h.detector.ingest(announce(t0 + 10, peer_a(), kBeacon));
+  h.detector.advance(deadline - 1);
+  h.detector.expect(event_at(deadline));
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].raised_at, deadline);
+  ASSERT_EQ(h.resolutions.size(), 1u);
+  EXPECT_EQ(h.resolutions[0].resolved_at, deadline);
+  EXPECT_TRUE(h.detector.active_zombies().empty());
+}
+
+TEST(RealTime, ReannouncedAlertedRouteUpdatesStuckPath) {
+  Harness h;
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  const auto w = t0 + 15 * kMinute;
+  h.detector.expect(event_at(t0));
+  h.detector.ingest(announce(t0 + 10, peer_a(), kBeacon));
+  h.detector.advance(w + 90 * kMinute);
+  ASSERT_EQ(h.detector.active_zombies().size(), 1u);
+  const auto alerted = h.detector.active_version();
+
+  // Same path again: nothing the active set shows has changed.
+  h.detector.ingest(announce(w + 2 * kHour, peer_a(), kBeacon));
+  EXPECT_EQ(h.detector.active_version(), alerted);
+
+  auto rerouted = announce(w + 3 * kHour, peer_a(), kBeacon);
+  rerouted.update.attributes.as_path = bgp::AsPath{peer_a().asn, 3356, 210312};
+  h.detector.ingest(rerouted);
+  EXPECT_NE(h.detector.active_version(), alerted);
+  const auto active = h.detector.active_zombies();
+  ASSERT_EQ(active.size(), 1u);
+  EXPECT_EQ(active[0].stuck_path, rerouted.update.attributes.as_path);
+  EXPECT_EQ(active[0].raised_at, w + 90 * kMinute) << "a new path is not a new alert";
+  EXPECT_EQ(h.alerts.size(), 1u);
 }
 
 TEST(RealTime, ExcludedPeersNeverAlert) {

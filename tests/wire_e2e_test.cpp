@@ -114,7 +114,13 @@ TEST(WireE2E, LoopbackSessionEstablishesAndDeliversUpdates) {
     EXPECT_EQ(received.attributes.as_path, update.attributes.as_path);
   }
 
-  ASSERT_TRUE(wait_for([&] { return harness.speaker.established_count() == 1; }));
+  // The speaker rebuilds its snapshot after the poll turn that ran the
+  // update callback, so wait for the route to show there too.
+  ASSERT_TRUE(wait_for([&] {
+    const auto rows = harness.speaker.snapshot();
+    return harness.speaker.established_count() == 1 && rows.size() == 1 &&
+           rows[0].routes == 1;
+  }));
   const auto rows = harness.speaker.snapshot();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].state, "Established");
