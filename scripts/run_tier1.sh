@@ -7,9 +7,12 @@
 # lock-free cross-thread use — plus zslive's MPSC shard queues, epoch
 # snapshots, and SSE fanout) and under AddressSanitizer+UBSan (the
 # journal codec, the HTTP server, and the NDJSON feed parse external
-# bytes; the zsprof stack walk reads raw stack memory). Each sanitizer
-# leg ends with a 30-second zslived tap-demo soak under concurrent
-# curl clients.
+# bytes; the zsprof stack walk reads raw stack memory). The ASan+UBSan
+# leg also runs the MRT codec and its fuzz suites (truncated and
+# bit-flipped archives) and the batch long-lived detector, whose fold
+# keeps raw pointers into the caller's records; these are
+# single-threaded, so the TSan leg skips them. Each sanitizer leg ends
+# with a 30-second zslived tap-demo soak under concurrent curl clients.
 #
 # Usage: scripts/run_tier1.sh [build-dir]   (default: build)
 
@@ -40,6 +43,8 @@ OBS_TARGETS="obs_test journal_test http_test prof_test benchdiff_test prof_compi
   tsdb_test tsdb_compileout_test \
   causal_test causal_e2e_test causal_compileout_test live_test realtime_test \
   wire_test wirefault_test zswire zslived zstop"
+# Single-threaded suites for the ASan+UBSan leg only.
+ASAN_ONLY_TARGETS="mrt_test zombie_test fuzz_codec_test"
 
 # A 30-second zslived soak under the instrumented build: the tap demo
 # feeds a live simulation through the sharded service while curl
@@ -271,11 +276,13 @@ ctest --test-dir "${TSAN_DIR}" --output-on-failure -R '^Obs|^Wire|^RealTime'
 soak_zslived "${TSAN_DIR}" "tsan"
 soak_bgp "${TSAN_DIR}" "tsan"
 
-echo "== tier-1: obs tests under ASan+UBSan (${ASAN_DIR})"
+echo "== tier-1: obs, MRT codec and batch detector tests under ASan+UBSan (${ASAN_DIR})"
 cmake -B "${ASAN_DIR}" -S . -DZS_SANITIZE=address,undefined
 # shellcheck disable=SC2086
-cmake --build "${ASAN_DIR}" -j --target ${OBS_TARGETS}
-ctest --test-dir "${ASAN_DIR}" --output-on-failure -R '^Obs|^Wire|^RealTime'
+cmake --build "${ASAN_DIR}" -j --target ${OBS_TARGETS} ${ASAN_ONLY_TARGETS}
+# Parameterized suites are named Seeds/CodecFuzz.*, so CodecFuzz is unanchored.
+ctest --test-dir "${ASAN_DIR}" --output-on-failure \
+  -R '^Obs|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.'
 soak_zslived "${ASAN_DIR}" "asan"
 soak_bgp "${ASAN_DIR}" "asan"
 

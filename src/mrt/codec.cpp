@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "bgp/attributes.hpp"
 #include "obs/metrics.hpp"
@@ -453,8 +455,21 @@ void write_file(const std::string& path, std::span<const MrtRecord> records) {
 std::vector<MrtRecord> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+  // A regular file fits its buffer and reaches EOF in one read; a pipe
+  // or device has no size, so its buffer doubles until EOF.
+  std::error_code no_size;
+  const std::uintmax_t size = std::filesystem::file_size(path, no_size);
+  std::vector<std::uint8_t> bytes(no_size ? std::size_t{1} << 16 : size + 1);
+  std::size_t filled = 0;
+  while (true) {
+    in.read(reinterpret_cast<char*>(bytes.data() + filled),
+            static_cast<std::streamsize>(bytes.size() - filled));
+    filled += static_cast<std::size_t>(in.gcount());
+    if (in.bad()) throw std::runtime_error("cannot read " + path);
+    if (in.eof()) break;
+    bytes.resize(2 * bytes.size());
+  }
+  bytes.resize(filled);
   return decode_all(bytes);
 }
 

@@ -4,7 +4,7 @@
 // Two data sources, as in the paper:
 //  * update archives — a prefix is stuck at a peer if, at
 //    withdrawal + threshold, its last update is not a withdrawal;
-//    swept over thresholds for Fig. 2;
+//    swept over thresholds for Fig. 2 from one pass over the stream;
 //  * 8-hourly RIB dumps — coarser, but scale to ~a year of monitoring
 //    for the lifespan CDF (Fig. 3), the resurrection timelines
 //    (Fig. 4), and the §5.2 case studies.
@@ -60,21 +60,23 @@ class LongLivedZombieDetector {
   explicit LongLivedZombieDetector(LongLivedConfig config) : config_(std::move(config)) {}
 
   /// Detects zombies at a fixed threshold after each beacon's
-  /// withdrawal. `records` must be time-sorted.
+  /// withdrawal. `records` must be time-sorted. Outbreaks come in
+  /// studied-event order, routes within one in PeerKey order.
   LongLivedResult detect(std::span<const mrt::MrtRecord> records,
                          std::span<const beacon::BeaconEvent> events,
                          netbase::Duration threshold) const;
 
-  /// Fig. 2: runs detect() for each threshold.
+  /// Fig. 2: one point per threshold, in the caller's order (unsorted
+  /// and repeated thresholds are fine; none gives none). Each point
+  /// equals detect() at its threshold, and the journal gets the events
+  /// that calling detect() once per threshold would emit, in that
+  /// order. One pass over `records` answers every threshold.
   std::vector<SweepPoint> sweep(std::span<const mrt::MrtRecord> records,
                                 std::span<const beacon::BeaconEvent> events,
                                 std::span<const netbase::Duration> thresholds) const;
 
  private:
-  bool peer_excluded(const PeerKey& peer) const {
-    return config_.excluded_peers.contains(peer) ||
-           config_.excluded_peer_asns.contains(peer.asn);
-  }
+  class Fold;  // the one pass both calls share (longlived.cpp)
 
   LongLivedConfig config_;
 };
@@ -120,9 +122,8 @@ class LifespanAnalyzer {
 
   /// Builds outbreak lifespans from TABLE_DUMP_V2 archives (must be
   /// time-sorted; PeerIndexTable precedes its RIB records as written
-  /// by the collector). Only prefixes covered by `beacon_covering`
-  /// that match a studied beacon event are analyzed; presence before a
-  /// prefix's final withdrawal is ignored.
+  /// by the collector). Only prefixes of studied beacon events are
+  /// analyzed; presence before a prefix's final withdrawal is ignored.
   std::vector<OutbreakLifespan> analyze(std::span<const mrt::MrtRecord> rib_dumps,
                                         std::span<const beacon::BeaconEvent> events,
                                         netbase::Duration dump_interval) const;

@@ -2,9 +2,11 @@
 // and structural error handling.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <thread>
 
 #include "mrt/codec.hpp"
 #include "netbase/rng.hpp"
@@ -149,6 +151,49 @@ TEST(MrtCodec, FileRoundTrip) {
 
 TEST(MrtCodec, ReadMissingFileThrows) {
   EXPECT_THROW(read_file("/nonexistent/zombiescope.mrt"), std::runtime_error);
+}
+
+TEST(MrtCodec, ReadFileThroughPipe) {
+  // A pipe has no file size; the archive is larger than the pipe
+  // buffer, so the reader sees it arrive in several pieces.
+  std::vector<MrtRecord> records;
+  for (int i = 0; i < 3000; ++i) {
+    Bgp4mpMessage m = make_message();
+    m.timestamp += i;
+    records.push_back(m);
+  }
+  const std::vector<std::uint8_t> bytes = encode_all(records);
+  ASSERT_GT(bytes.size(), std::size_t{1} << 17);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::thread writer([&] {
+    std::size_t written = 0;
+    while (written < bytes.size()) {
+      const ssize_t n = ::write(fds[1], bytes.data() + written, bytes.size() - written);
+      if (n <= 0) break;
+      written += static_cast<std::size_t>(n);
+    }
+    ::close(fds[1]);
+  });
+  std::vector<MrtRecord> loaded;
+  std::string error;
+  try {
+    loaded = read_file("/dev/fd/" + std::to_string(fds[0]));
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  // Drain what the reader left, so the writer finishes either way.
+  char sink[4096];
+  while (::read(fds[0], sink, sizeof sink) > 0) {
+  }
+  writer.join();
+  ::close(fds[0]);
+  EXPECT_EQ(error, "");
+  EXPECT_EQ(loaded, records);
+}
+
+TEST(MrtCodec, ReadDirectoryThrows) {
+  EXPECT_THROW(read_file(std::filesystem::temp_directory_path().string()), std::runtime_error);
 }
 
 TEST(MrtCodec, TruncatedStreamThrows) {

@@ -150,6 +150,43 @@ TEST(LongLivedScenario, NoisyFilterDiscoversInjectedSessions) {
   EXPECT_EQ(detected, out.noisy_peers);
 }
 
+TEST(LongLivedScenario, Fig2SweepIsPinnedAndMatchesDetect) {
+  // The full default spec (seed 20240604): the archive behind
+  // EXPERIMENTS.md's Fig. 2 values, pinned here as (outbreaks, routes)
+  // per threshold, 90...180 min in 10-min steps.
+  const auto out = run_longlived2024(LongLived2024Spec{});
+  std::vector<netbase::Duration> thresholds;
+  for (int minutes = 90; minutes <= 180; minutes += 10) thresholds.push_back(minutes * kMinute);
+  using Counts = std::vector<std::pair<int, int>>;
+  const Counts all_peers{{396, 648}, {381, 629}, {367, 606}, {351, 585}, {341, 564},
+                         {330, 549}, {311, 520}, {306, 510}, {308, 515}, {307, 511}};
+  const Counts noisy_excluded{{125, 173}, {107, 154}, {92, 139}, {77, 122}, {66, 111},
+                              {58, 102},  {39, 78},   {39, 78}, {42, 85},  {42, 85}};
+  zombie::LongLivedConfig clean;
+  for (const auto& peer : out.noisy_peers) clean.excluded_peers.insert(peer);
+
+  const auto check = [&](const zombie::LongLivedConfig& config, const Counts& expected,
+                         const char* line) {
+    SCOPED_TRACE(line);
+    const zombie::LongLivedZombieDetector detector{config};
+    const auto sweep = detector.sweep(out.updates, out.events, thresholds);
+    ASSERT_EQ(sweep.size(), expected.size());
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      SCOPED_TRACE(thresholds[i] / kMinute);
+      EXPECT_EQ(sweep[i].threshold, thresholds[i]);
+      EXPECT_EQ(sweep[i].outbreaks, expected[i].first);
+      EXPECT_EQ(sweep[i].routes, expected[i].second);
+      const auto result = detector.detect(out.updates, out.events, thresholds[i]);
+      EXPECT_EQ(result.total_announcements, 1722);
+      EXPECT_EQ(sweep[i].outbreaks, static_cast<int>(result.outbreaks.size()));
+      EXPECT_EQ(sweep[i].routes, result.route_count());
+      EXPECT_DOUBLE_EQ(sweep[i].announcement_fraction, result.outbreak_fraction());
+    }
+  };
+  check(zombie::LongLivedConfig{}, all_peers, "all peers");
+  check(clean, noisy_excluded, "noisy peers excluded");
+}
+
 TEST(LongLivedScenario, RibDumpsCoverJune) {
   const auto out = run_longlived2024(short_longlived_spec());
   int tables = 0;

@@ -11,6 +11,7 @@
 
 #include "beacon/clock.hpp"
 #include "beacon/schedule.hpp"
+#include "obs/journal.hpp"
 #include "zombie/analyzer.hpp"
 #include "zombie/interval_detector.hpp"
 #include "zombie/longlived.hpp"
@@ -391,6 +392,101 @@ TEST(LongLived, SupersededEventsAreSkipped) {
   EXPECT_EQ(result.total_announcements, 1);
   ASSERT_EQ(result.outbreaks.size(), 1u);
   EXPECT_EQ(result.outbreaks[0].interval_start, t0 + 150 * kMinute);
+}
+
+// Two beacons seen by two peers, with answers that move across the
+// 90-180 min sweep: peer a withdraws both (p2 at +100, p1 at +120
+// min), peer b's session drops at +130 min, and peer a re-announces p2
+// at +160 min.
+struct SweepStream {
+  std::vector<BeaconEvent> events;
+  std::vector<mrt::MrtRecord> records;
+};
+
+SweepStream mixed_sweep_stream() {
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  const auto w = t0 + 15 * kMinute;
+  const Prefix p1 = Prefix::parse("2a0d:3dc1:1200::/48");
+  const Prefix p2 = Prefix::parse("2a0d:3dc1:1201::/48");
+  SweepStream s;
+  s.events = {{p1, t0, w, false}, {p2, t0, w, false}};
+  s.records = {
+      announce(t0 + 10, peer_a(), p1, {64500, 210312}),
+      announce(t0 + 12, peer_b(), p1, {64501, 210312}),
+      announce(t0 + 15, peer_a(), p2, {64500, 210312}),
+      announce(t0 + 20, peer_b(), p2, {64501, 210312}),
+      withdraw(w + 100 * kMinute, peer_a(), p2),
+      withdraw(w + 120 * kMinute, peer_a(), p1),
+      session_drop(w + 130 * kMinute, peer_b()),
+      announce(w + 160 * kMinute, peer_a(), p2, {64500, 3356, 210312}),
+  };
+  return s;
+}
+
+TEST(LongLived, SweepKeepsCallerThresholdOrder) {
+  const SweepStream s = mixed_sweep_stream();
+  LongLivedZombieDetector detector{LongLivedConfig{}};
+  const std::vector<netbase::Duration> thresholds{180 * kMinute, 90 * kMinute, 140 * kMinute,
+                                                  90 * kMinute};
+  const auto sweep = detector.sweep(s.records, s.events, thresholds);
+  ASSERT_EQ(sweep.size(), thresholds.size());
+  const std::vector<int> outbreaks{1, 2, 0, 2};
+  const std::vector<int> routes{1, 4, 0, 4};
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto result = detector.detect(s.records, s.events, thresholds[i]);
+    EXPECT_EQ(sweep[i].threshold, thresholds[i]);
+    EXPECT_EQ(sweep[i].outbreaks, outbreaks[i]);
+    EXPECT_EQ(sweep[i].routes, routes[i]);
+    EXPECT_EQ(sweep[i].outbreaks, static_cast<int>(result.outbreaks.size()));
+    EXPECT_EQ(sweep[i].routes, result.route_count());
+    EXPECT_DOUBLE_EQ(sweep[i].announcement_fraction, result.outbreak_fraction());
+  }
+  EXPECT_TRUE(detector.sweep(s.records, s.events, {}).empty());
+}
+
+TEST(LongLived, SessionDropInSweepTailCountsOnlyInsideTheWindow) {
+  // Like LateReannouncementCreatesUptick, but the route is flushed by
+  // the peer's session going down at +150 min, not withdrawn.
+  const auto t0 = utc(2024, 6, 4, 12, 0, 0);
+  const Prefix beacon = Prefix::parse("2a0d:3dc1:1200::/48");
+  const PeerKey peer = peer_a();
+  const auto w = t0 + 15 * kMinute;
+  std::vector<mrt::MrtRecord> records{
+      announce(t0 + 10, peer, beacon, {64500, 210312}),
+      session_drop(w + 150 * kMinute, peer),
+      announce(w + 170 * kMinute, peer, beacon, {64500, 4637, 1299, 25091, 8298, 210312}),
+  };
+  LongLivedZombieDetector detector{LongLivedConfig{}};
+  const std::vector<netbase::Duration> thresholds{140 * kMinute, 160 * kMinute, 180 * kMinute};
+  const auto sweep = detector.sweep(records, one_long_event(beacon, t0), thresholds);
+  ASSERT_EQ(sweep.size(), 3u);
+  EXPECT_EQ(sweep[0].outbreaks, 1);  // stuck at 140
+  EXPECT_EQ(sweep[1].outbreaks, 0);  // flushed by 160
+  EXPECT_EQ(sweep[2].outbreaks, 1);  // re-announced by 180
+  const auto at180 = detector.detect(records, one_long_event(beacon, t0), 180 * kMinute);
+  ASSERT_EQ(at180.outbreaks.size(), 1u);
+  EXPECT_EQ(at180.outbreaks[0].routes[0].path.to_string(), "64500 4637 1299 25091 8298 210312");
+}
+
+TEST(LongLived, SweepJournalsLikeOneDetectPerThreshold) {
+  const SweepStream s = mixed_sweep_stream();
+  LongLivedZombieDetector detector{LongLivedConfig{}};
+  const std::vector<netbase::Duration> thresholds{180 * kMinute, 90 * kMinute, 140 * kMinute,
+                                                  90 * kMinute};
+  obs::Journal& journal = obs::Journal::global();
+  const std::uint32_t mask = journal.enabled_categories();
+  journal.set_enabled_categories(obs::kCatDetector);
+  journal.reset();
+  detector.sweep(s.records, s.events, thresholds);
+  const auto swept = journal.tail(obs::Journal::kRecentCapacity);
+  journal.reset();
+  for (const auto threshold : thresholds) detector.detect(s.records, s.events, threshold);
+  const auto detected = journal.tail(obs::Journal::kRecentCapacity);
+  journal.reset();
+  journal.set_enabled_categories(mask);
+  EXPECT_EQ(swept.size(), 18u);  // 9 routes, two events each
+  EXPECT_EQ(swept, detected);
 }
 
 // --- LifespanAnalyzer --------------------------------------------------------
