@@ -154,14 +154,10 @@ void emit_metrics_snapshot(const std::string& name) {
   // JSON snapshot itself is suppressed, so the timer is never left
   // armed past the harness's lifetime.
   obs::ProfileReport profile;
-  if constexpr (obs::kProfCompiledIn) {
-    if (obs::Profiler::global().running()) profile = obs::Profiler::global().stop();
-  }
+  if (obs::Profiler::global().running()) profile = obs::Profiler::global().stop();
   obs::HeapReport heap;
-  if constexpr (obs::kHeapCompiledIn) {
-    if (obs::HeapProfiler::global().running()) {
-      heap = obs::HeapProfiler::global().stop();  // also refreshes zs_heap_*
-    }
+  if (obs::HeapProfiler::global().running()) {
+    heap = obs::HeapProfiler::global().stop();  // also refreshes zs_heap_*
   }
   if (const char* env = std::getenv("ZS_NO_BENCH_JSON"); env != nullptr && *env != '\0')
     return;
@@ -200,16 +196,11 @@ void begin_bench_session() {
   static const bool started = [] {
     g_bench_started = std::chrono::steady_clock::now();
     g_bench_started_valid = true;
-    if constexpr (obs::kProfCompiledIn) {
-      if (std::getenv("ZS_NO_PROF") == nullptr) obs::Profiler::global().start();
-    }
+    if (std::getenv("ZS_NO_PROF") == nullptr) obs::Profiler::global().start();
     // The heap section rides along by default so every BENCH_*.json
     // carries allocation counts next to its profile ($ZS_NO_HEAP opts
     // out; a sanitizer build makes start() a graceful no-op).
-    if constexpr (obs::kHeapCompiledIn) {
-      if (std::getenv("ZS_NO_HEAP") == nullptr)
-        obs::HeapProfiler::global().start();
-    }
+    if (std::getenv("ZS_NO_HEAP") == nullptr) obs::HeapProfiler::global().start();
     return true;
   }();
   (void)started;

@@ -11,7 +11,9 @@
 # leg also runs the MRT codec and its fuzz suites (truncated and
 # bit-flipped archives) and the batch long-lived detector, whose fold
 # keeps raw pointers into the caller's records; these are
-# single-threaded, so the TSan leg skips them. Each sanitizer leg ends
+# single-threaded, so the TSan leg skips them. Both legs run the JSON
+# reader's suite (RIS-Live NDJSON is network input), and the UBSan leg
+# adds -fsanitize=float-cast-overflow (see CMakeLists.txt). Each sanitizer leg ends
 # with a 30-second zslived tap-demo soak under concurrent curl clients.
 #
 # Usage: scripts/run_tier1.sh [build-dir]   (default: build)
@@ -38,10 +40,9 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 # __sanitizer symbols — the session tests skip there, while the
 # report/rendering tests still run. This proves the step-aside path,
 # not just the happy path.
-OBS_TARGETS="obs_test journal_test http_test prof_test benchdiff_test prof_compileout_test \
-  heap_test heap_compileout_test lathist_test lathist_compileout_test \
-  tsdb_test tsdb_compileout_test \
-  causal_test causal_e2e_test causal_compileout_test live_test realtime_test \
+OBS_TARGETS="json_test obs_test journal_test http_test prof_test benchdiff_test \
+  heap_test heap_compileout_test lathist_test tsdb_test \
+  causal_test causal_e2e_test live_test realtime_test \
   wire_test wirefault_test zswire zslived zstop"
 # Single-threaded suites for the ASan+UBSan leg only.
 ASAN_ONLY_TARGETS="mrt_test zombie_test fuzz_codec_test"
@@ -272,7 +273,7 @@ echo "== tier-1: obs tests under ThreadSanitizer (${TSAN_DIR})"
 cmake -B "${TSAN_DIR}" -S . -DZS_SANITIZE=thread
 # shellcheck disable=SC2086
 cmake --build "${TSAN_DIR}" -j --target ${OBS_TARGETS}
-ctest --test-dir "${TSAN_DIR}" --output-on-failure -R '^Obs|^Wire|^RealTime'
+ctest --test-dir "${TSAN_DIR}" --output-on-failure -R '^Obs|^Json|^Wire|^RealTime'
 soak_zslived "${TSAN_DIR}" "tsan"
 soak_bgp "${TSAN_DIR}" "tsan"
 
@@ -282,7 +283,7 @@ cmake -B "${ASAN_DIR}" -S . -DZS_SANITIZE=address,undefined
 cmake --build "${ASAN_DIR}" -j --target ${OBS_TARGETS} ${ASAN_ONLY_TARGETS}
 # Parameterized suites are named Seeds/CodecFuzz.*, so CodecFuzz is unanchored.
 ctest --test-dir "${ASAN_DIR}" --output-on-failure \
-  -R '^Obs|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.'
+  -R '^Obs|^Json|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.'
 soak_zslived "${ASAN_DIR}" "asan"
 soak_bgp "${ASAN_DIR}" "asan"
 

@@ -7,18 +7,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <map>
 #include <stdexcept>
 #include <thread>
-#include <variant>
 
 #include "collector/collector.hpp"
 #include "mrt/codec.hpp"
+#include "netbase/json.hpp"
 #include "netbase/rng.hpp"
 #include "obs/metrics.hpp"
 #include "simnet/simulation.hpp"
@@ -35,254 +33,77 @@ obs::Counter feed_parse_errors_counter() {
   return obs::Registry::global().counter("zs_live_feed_parse_errors_total");
 }
 
-// --- a minimal JSON reader for the RIS-Live schema -------------------
-//
-// The container bakes in no JSON library and the schema is shallow, so
-// a ~100-line recursive-descent parser is the whole dependency. It
-// accepts the JSON subset RIS-Live emits (no comments, UTF-8 passed
-// through, \uXXXX escapes collapsed to '?').
-
-struct JsonValue;
-using JsonArray = std::vector<JsonValue>;
-using JsonObject = std::map<std::string, JsonValue>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject>
-      v = nullptr;
-
-  const JsonObject* object() const { return std::get_if<JsonObject>(&v); }
-  const JsonArray* array() const { return std::get_if<JsonArray>(&v); }
-  const std::string* string() const { return std::get_if<std::string>(&v); }
-  const double* number() const { return std::get_if<double>(&v); }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  std::optional<JsonValue> parse() {
-    skip_ws();
-    JsonValue value;
-    if (!parse_value(value, 0)) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) return std::nullopt;
-    return value;
-  }
-
- private:
-  static constexpr int kMaxDepth = 32;
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool eat(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool eat_word(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool parse_value(JsonValue& out, int depth) {
-    if (depth > kMaxDepth || pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return parse_object(out, depth);
-    if (c == '[') return parse_array(out, depth);
-    if (c == '"') {
-      std::string s;
-      if (!parse_string(s)) return false;
-      out.v = std::move(s);
-      return true;
-    }
-    if (eat_word("null")) {
-      out.v = nullptr;
-      return true;
-    }
-    if (eat_word("true")) {
-      out.v = true;
-      return true;
-    }
-    if (eat_word("false")) {
-      out.v = false;
-      return true;
-    }
-    return parse_number(out);
-  }
-
-  bool parse_object(JsonValue& out, int depth) {
-    if (!eat('{')) return false;
-    JsonObject object;
-    skip_ws();
-    if (eat('}')) {
-      out.v = std::move(object);
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!eat(':')) return false;
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value, depth + 1)) return false;
-      object.emplace(std::move(key), std::move(value));
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat('}')) break;
-      return false;
-    }
-    out.v = std::move(object);
-    return true;
-  }
-
-  bool parse_array(JsonValue& out, int depth) {
-    if (!eat('[')) return false;
-    JsonArray array;
-    skip_ws();
-    if (eat(']')) {
-      out.v = std::move(array);
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value, depth + 1)) return false;
-      array.push_back(std::move(value));
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat(']')) break;
-      return false;
-    }
-    out.v = std::move(array);
-    return true;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!eat('"')) return false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u':
-          if (pos_ + 4 > text_.size()) return false;
-          pos_ += 4;
-          out += '?';  // no field we read carries non-ASCII escapes
-          break;
-        default: return false;
-      }
-    }
-    return false;
-  }
-
-  bool parse_number(JsonValue& out) {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return false;
-    out.v = value;
-    return true;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-const JsonValue* find(const JsonObject& object, const std::string& key) {
-  const auto it = object.find(key);
-  return it == object.end() ? nullptr : &it->second;
+/// An integer in [0, 4294967295], or nullopt: RIS-Live numbers the
+/// record cannot hold reject the line.
+std::optional<bgp::Asn> asn_of_number(double n) {
+  if (!(n >= 0 && n <= 4294967295.0) || n != std::floor(n)) return std::nullopt;
+  return static_cast<bgp::Asn>(n);
 }
 
 /// peer_asn arrives as "64500" in RIS-Live but some producers send a
 /// bare number; accept both.
-std::optional<bgp::Asn> parse_asn(const JsonValue* value) {
+std::optional<bgp::Asn> parse_asn(const netbase::JsonValue* value) {
   if (value == nullptr) return std::nullopt;
-  if (const double* n = value->number()) {
-    if (*n < 0 || *n > 4294967295.0) return std::nullopt;
-    return static_cast<bgp::Asn>(*n);
-  }
-  if (const std::string* s = value->string()) {
-    char* end = nullptr;
-    const unsigned long long asn = std::strtoull(s->c_str(), &end, 10);
-    if (end != s->c_str() + s->size() || asn > 4294967295ull) return std::nullopt;
-    return static_cast<bgp::Asn>(asn);
+  if (value->is_number()) return asn_of_number(value->number);
+  if (value->is_string()) {
+    const std::string& s = value->str;
+    bgp::Asn asn = 0;
+    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), asn);
+    if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
+    return asn;
   }
   return std::nullopt;
 }
 
 /// RIS-Live paths can contain AS_SET members as nested arrays; flatten
-/// (the detector only matches paths textually).
-void flatten_path(const JsonArray& array, std::vector<bgp::Asn>& out) {
-  for (const JsonValue& element : array) {
-    if (const double* n = element.number()) {
-      out.push_back(static_cast<bgp::Asn>(*n));
-    } else if (const JsonArray* nested = element.array()) {
-      flatten_path(*nested, out);
+/// (the detector only matches paths textually). False when an element
+/// is not an ASN.
+bool flatten_path(const std::vector<netbase::JsonValue>& array,
+                  std::vector<bgp::Asn>& out) {
+  for (const netbase::JsonValue& element : array) {
+    if (element.is_number()) {
+      const auto asn = asn_of_number(element.number);
+      if (!asn) return false;
+      out.push_back(*asn);
+    } else if (element.is_array() && !flatten_path(element.array, out)) {
+      return false;
     }
   }
+  return true;
 }
 
 }  // namespace
 
 std::optional<mrt::MrtRecord> parse_ris_live_line(std::string_view line) {
-  JsonParser parser(line);
-  const auto doc = parser.parse();
-  if (!doc) return std::nullopt;
-  const JsonObject* object = doc->object();
-  if (object == nullptr) return std::nullopt;
-  if (const JsonValue* data = find(*object, "data")) {
-    if (data->object() == nullptr) return std::nullopt;
-    object = data->object();
+  const auto doc = netbase::parse_json(line);
+  if (!doc || !doc->is_object()) return std::nullopt;
+  const netbase::JsonValue* object = &*doc;
+  if (const netbase::JsonValue* data = object->find("data")) {
+    if (!data->is_object()) return std::nullopt;
+    object = data;
   }
 
   std::string type = "UPDATE";
-  if (const JsonValue* t = find(*object, "type")) {
-    if (t->string() == nullptr) return std::nullopt;
-    type = *t->string();
+  if (const netbase::JsonValue* t = object->find("type")) {
+    if (!t->is_string()) return std::nullopt;
+    type = t->str;
   }
 
   netbase::TimePoint timestamp = 0;
-  if (const JsonValue* ts = find(*object, "timestamp")) {
-    if (ts->number() == nullptr) return std::nullopt;
-    timestamp = static_cast<netbase::TimePoint>(std::floor(*ts->number()));
+  if (const netbase::JsonValue* ts = object->find("timestamp")) {
+    if (!ts->is_number()) return std::nullopt;
+    // The parser already refused ±inf; 2^63 itself is out of range.
+    const double seconds = std::floor(ts->number);
+    if (!(seconds >= -9223372036854775808.0 && seconds < 9223372036854775808.0))
+      return std::nullopt;
+    timestamp = static_cast<netbase::TimePoint>(seconds);
   }
 
-  const JsonValue* peer = find(*object, "peer");
-  if (peer == nullptr || peer->string() == nullptr) return std::nullopt;
-  const auto peer_address = netbase::IpAddress::try_parse(*peer->string());
+  const netbase::JsonValue* peer = object->find("peer");
+  if (peer == nullptr || !peer->is_string()) return std::nullopt;
+  const auto peer_address = netbase::IpAddress::try_parse(peer->str);
   if (!peer_address) return std::nullopt;
-  const auto peer_asn = parse_asn(find(*object, "peer_asn"));
+  const auto peer_asn = parse_asn(object->find("peer_asn"));
   if (!peer_asn) return std::nullopt;
 
   if (type == "UPDATE") {
@@ -290,42 +111,39 @@ std::optional<mrt::MrtRecord> parse_ris_live_line(std::string_view line) {
     message.timestamp = timestamp;
     message.peer_asn = *peer_asn;
     message.peer_address = *peer_address;
-    if (const JsonValue* withdrawals = find(*object, "withdrawals")) {
-      if (withdrawals->array() == nullptr) return std::nullopt;
-      for (const JsonValue& w : *withdrawals->array()) {
-        if (w.string() == nullptr) return std::nullopt;
-        const auto prefix = netbase::Prefix::try_parse(*w.string());
+    if (const netbase::JsonValue* withdrawals = object->find("withdrawals")) {
+      if (!withdrawals->is_array()) return std::nullopt;
+      for (const netbase::JsonValue& w : withdrawals->array) {
+        if (!w.is_string()) return std::nullopt;
+        const auto prefix = netbase::Prefix::try_parse(w.str);
         if (!prefix) return std::nullopt;
         message.update.withdrawn.push_back(*prefix);
       }
     }
-    if (const JsonValue* announcements = find(*object, "announcements")) {
-      if (announcements->array() == nullptr) return std::nullopt;
-      for (const JsonValue& a : *announcements->array()) {
-        const JsonObject* entry = a.object();
-        if (entry == nullptr) return std::nullopt;
-        if (const JsonValue* next_hop = find(*entry, "next_hop")) {
-          if (next_hop->string() != nullptr) {
+    if (const netbase::JsonValue* announcements = object->find("announcements")) {
+      if (!announcements->is_array()) return std::nullopt;
+      for (const netbase::JsonValue& entry : announcements->array) {
+        if (!entry.is_object()) return std::nullopt;
+        if (const netbase::JsonValue* next_hop = entry.find("next_hop")) {
+          if (next_hop->is_string()) {
             message.update.attributes.next_hop =
-                netbase::IpAddress::try_parse(*next_hop->string());
+                netbase::IpAddress::try_parse(next_hop->str);
           }
         }
-        const JsonValue* prefixes = find(*entry, "prefixes");
-        if (prefixes == nullptr || prefixes->array() == nullptr) {
-          return std::nullopt;
-        }
-        for (const JsonValue& p : *prefixes->array()) {
-          if (p.string() == nullptr) return std::nullopt;
-          const auto prefix = netbase::Prefix::try_parse(*p.string());
+        const netbase::JsonValue* prefixes = entry.find("prefixes");
+        if (prefixes == nullptr || !prefixes->is_array()) return std::nullopt;
+        for (const netbase::JsonValue& p : prefixes->array) {
+          if (!p.is_string()) return std::nullopt;
+          const auto prefix = netbase::Prefix::try_parse(p.str);
           if (!prefix) return std::nullopt;
           message.update.announced.push_back(*prefix);
         }
       }
     }
-    if (const JsonValue* path = find(*object, "path")) {
-      if (path->array() != nullptr) {
+    if (const netbase::JsonValue* path = object->find("path")) {
+      if (path->is_array()) {
         std::vector<bgp::Asn> asns;
-        flatten_path(*path->array(), asns);
+        if (!flatten_path(path->array, asns)) return std::nullopt;
         message.update.attributes.as_path = bgp::AsPath::sequence(asns);
       }
     }
@@ -337,8 +155,8 @@ std::optional<mrt::MrtRecord> parse_ris_live_line(std::string_view line) {
 
   if (type == "STATE" || type == "RIS_PEER_STATE") {
     std::string state;
-    if (const JsonValue* s = find(*object, "state")) {
-      if (s->string() != nullptr) state = *s->string();
+    if (const netbase::JsonValue* s = object->find("state")) {
+      if (s->is_string()) state = s->str;
     }
     const bool up =
         state == "connected" || state == "established" || state == "up";
@@ -515,6 +333,14 @@ FeedSource::RunStats SimTapFeedSource::run(LiveService& service) {
 
 // --- TcpNdjsonFeedSource ---------------------------------------------
 
+namespace {
+
+// The longest NDJSON line a client may send. A maximal 65,535-byte
+// extended UPDATE (~16k IPv4 prefixes) renders far below this.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
+}  // namespace
+
 TcpNdjsonFeedSource::TcpNdjsonFeedSource(std::uint16_t port) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("zslive: socket() failed");
@@ -552,42 +378,35 @@ FeedSource::RunStats TcpNdjsonFeedSource::run(LiveService& service) {
   };
   std::vector<Client> clients;
 
+  const auto parse_error = [&] {
+    ++stats.parse_errors;
+    m_errors.inc();
+  };
+  const auto submit_line = [&](std::string_view line) {
+    // Stamp before the parse: wire read → enqueue includes the JSON
+    // decode cost in the ingest_enqueue stage.
+    const auto ingest = std::chrono::steady_clock::now();
+    if (auto record = parse_ris_live_line(line)) {
+      service.submit(FeedItem{std::move(*record), ingest});
+      ++stats.records;
+      m_records.inc();
+    } else {
+      parse_error();
+    }
+  };
   const auto consume = [&](Client& client, bool flush) {
     std::size_t start = 0;
-    for (;;) {
-      const std::size_t nl = client.buffer.find('\n', start);
-      if (nl == std::string::npos) break;
+    for (std::size_t nl; (nl = client.buffer.find('\n', start)) != std::string::npos;
+         start = nl + 1) {
       std::string_view line(client.buffer.data() + start, nl - start);
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      if (!line.empty()) {
-        // Stamp before the parse: wire read → enqueue includes the
-        // JSON decode cost in the ingest_enqueue stage.
-        const auto ingest = std::chrono::steady_clock::now();
-        if (auto record = parse_ris_live_line(line)) {
-          service.submit(FeedItem{std::move(*record), ingest});
-          ++stats.records;
-          m_records.inc();
-        } else {
-          ++stats.parse_errors;
-          m_errors.inc();
-        }
-      }
-      start = nl + 1;
+      if (!line.empty()) submit_line(line);
     }
     client.buffer.erase(0, start);
-    if (flush && !client.buffer.empty()) {
-      // A final unterminated line when the client hangs up.
-      const auto ingest = std::chrono::steady_clock::now();
-      if (auto record = parse_ris_live_line(client.buffer)) {
-        service.submit(FeedItem{std::move(*record), ingest});
-        ++stats.records;
-        m_records.inc();
-      } else {
-        ++stats.parse_errors;
-        m_errors.inc();
-      }
-      client.buffer.clear();
-    }
+    if (!flush) return;
+    // A final unterminated line when the client hangs up.
+    if (!client.buffer.empty()) submit_line(client.buffer);
+    client.buffer.clear();
   };
 
   while (!stop_.load(std::memory_order_relaxed)) {
@@ -607,10 +426,18 @@ FeedSource::RunStats TcpNdjsonFeedSource::run(LiveService& service) {
         const ssize_t n = ::recv(client.fd, buf, sizeof(buf), 0);
         if (n > 0) {
           client.buffer.append(buf, static_cast<std::size_t>(n));
-          continue;
+          if (client.buffer.size() <= kMaxLineBytes) continue;
+          consume(client, false);
+          if (client.buffer.size() <= kMaxLineBytes) continue;
+          // An unterminated line past the cap: drop it unparsed and
+          // hang up on the client.
+          parse_error();
+          client.buffer.clear();
+        } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+          break;
+        } else {
+          consume(client, true);
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        consume(client, true);
         ::close(client.fd);
         client.fd = -1;
         break;

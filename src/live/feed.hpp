@@ -132,7 +132,9 @@ class TcpNdjsonFeedSource : public FeedSource {
   std::uint16_t port() const { return port_; }
 
   /// Serves until stop(): accepts any number of clients, parses each
-  /// complete line, submits what parses, counts what does not.
+  /// complete line, submits what parses, counts what does not. A client
+  /// whose unterminated line passes 1 MiB costs one parse error and is
+  /// disconnected.
   RunStats run(LiveService& service) override;
   void stop() override { stop_.store(true, std::memory_order_relaxed); }
 

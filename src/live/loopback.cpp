@@ -28,14 +28,12 @@ std::uint64_t now_steady_ns() {
 LoopbackLatencyClient::LoopbackLatencyClient(std::uint16_t port,
                                              std::string target)
     : port_(port), target_(std::move(target)) {
-  if constexpr (obs::kLatHistCompiledIn) {
-    e2e_ = &obs::LatRegistry::global().get("live.e2e");
-    m_e2e_seconds_ = obs::Registry::global().histogram(
-        "zs_live_stage_seconds_e2e",
-        {1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-         1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,  0.25,   0.5,
-         1.0,  2.5,    5.0});
-  }
+  e2e_ = &obs::LatRegistry::global().get("live.e2e");
+  m_e2e_seconds_ = obs::Registry::global().histogram(
+      "zs_live_stage_seconds_e2e",
+      {1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
+       1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,  0.25,   0.5,
+       1.0,  2.5,    5.0});
 }
 
 LoopbackLatencyClient::~LoopbackLatencyClient() { stop(); }
@@ -116,10 +114,8 @@ void LoopbackLatencyClient::scan(const char* data, std::size_t len) {
       const std::uint64_t now = now_steady_ns();
       if (number_ != 0 && now > number_) {
         const std::uint64_t e2e_ns = now - number_;
-        if constexpr (obs::kLatHistCompiledIn) {
-          if (e2e_ != nullptr) e2e_->record(e2e_ns);
-          m_e2e_seconds_.observe(static_cast<double>(e2e_ns) * 1e-9);
-        }
+        if (e2e_ != nullptr) e2e_->record(e2e_ns);
+        m_e2e_seconds_.observe(static_cast<double>(e2e_ns) * 1e-9);
         samples_.fetch_add(1, std::memory_order_relaxed);
       }
       number_ = 0;

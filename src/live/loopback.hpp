@@ -16,8 +16,7 @@
 // one process (steady_clock stamps are process-comparable, wall clock
 // skew is not involved). zslived starts one automatically when it
 // serves HTTP; the delivery-latency bench starts several to model
-// fanout load. With ZS_LATHIST_ENABLED=0 the client still subscribes
-// (it is also load) but records into a no-op histogram.
+// fanout load.
 
 #pragma once
 

@@ -139,7 +139,7 @@ struct ShardStats {
   double busy_seconds = 0.0;
   /// Ingest-lag (queue-wait) quantiles in seconds from this shard's
   /// mergeable latency histogram; 0 until the shard has processed
-  /// anything (or with ZS_LATHIST_ENABLED=0).
+  /// anything.
   double lag_p50 = 0.0;
   double lag_p99 = 0.0;
 };
@@ -276,16 +276,13 @@ class LiveService {
   /// BENCH latency section) plus a registry seconds histogram whose
   /// exporter already emits p50/p95/p99 _quantile gauges
   /// (zs_live_stage_seconds_<stage>). Recording is two lock-free
-  /// paths; with ZS_LATHIST_ENABLED=0 stage timing is not taken at
-  /// all and both stay empty.
+  /// paths.
   struct StageLat {
     obs::LatHist* hist = nullptr;
     obs::Histogram seconds;
     void record_ns(std::uint64_t ns) noexcept {
-      if constexpr (obs::kLatHistCompiledIn) {
-        if (hist != nullptr) hist->record(ns);
-        seconds.observe(static_cast<double>(ns) * 1e-9);
-      }
+      if (hist != nullptr) hist->record(ns);
+      seconds.observe(static_cast<double>(ns) * 1e-9);
     }
   };
 

@@ -2,209 +2,20 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <optional>
 #include <stdexcept>
+
+#include "netbase/json.hpp"
 
 namespace zombiescope::obs {
 
-// --- minimal JSON reader --------------------------------------------
-
-namespace {
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  std::optional<JsonValue> parse() {
-    JsonValue v;
-    if (!value(v)) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            // Snapshot strings are ASCII in practice; encode the code
-            // point as UTF-8 without surrogate-pair handling.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool number(double& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    bool any = false;
-    auto digits = [&] {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-        any = true;
-      }
-    };
-    digits();
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      digits();
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-      digits();
-    }
-    if (!any) return false;
-    const std::string token(text_.substr(start, pos_ - start));
-    try {
-      out = std::stod(token);
-    } catch (...) {
-      return false;
-    }
-    return true;
-  }
-
-  bool value(JsonValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kObject;
-      skip_ws();
-      if (consume('}')) return true;
-      while (true) {
-        std::string key;
-        if (!string(key)) return false;
-        if (!consume(':')) return false;
-        JsonValue member;
-        if (!value(member)) return false;
-        out.object.emplace_back(std::move(key), std::move(member));
-        if (consume(',')) {
-          skip_ws();
-          continue;
-        }
-        return consume('}');
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kArray;
-      skip_ws();
-      if (consume(']')) return true;
-      while (true) {
-        JsonValue element;
-        if (!value(element)) return false;
-        out.array.push_back(std::move(element));
-        if (consume(',')) continue;
-        return consume(']');
-      }
-    }
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return string(out.str);
-    }
-    if (c == 't') {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      return literal("true");
-    }
-    if (c == 'f') {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      return literal("false");
-    }
-    if (c == 'n') {
-      out.kind = JsonValue::Kind::kNull;
-      return literal("null");
-    }
-    out.kind = JsonValue::Kind::kNumber;
-    return number(out.number);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-const JsonValue* JsonValue::find(std::string_view key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [k, v] : object)
-    if (k == key) return &v;
-  return nullptr;
-}
-
-std::optional<JsonValue> parse_json(std::string_view text) {
-  return JsonParser(text).parse();
-}
+using netbase::json_escape;
+using netbase::JsonValue;
 
 // --- snapshot loading -----------------------------------------------
 
@@ -212,8 +23,7 @@ namespace {
 
 std::string member_string(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.find(key);
-  if (v != nullptr && v->kind == JsonValue::Kind::kString) return v->str;
-  return "unknown";
+  return v != nullptr && v->is_string() ? v->str : "unknown";
 }
 
 /// Derives a bench name from a path like ".../BENCH_micro_hotpaths.json".
@@ -226,37 +36,42 @@ std::string bench_name_from_path(const std::string& path) {
   return base.empty() ? "unknown" : base;
 }
 
+/// metrics[name] = obj[key] when that member is a number.
+void copy_number(const JsonValue& obj, std::string_view key, const std::string& name,
+                 std::map<std::string, double>& metrics) {
+  if (const JsonValue* v = obj.find(key); v != nullptr && v->is_number())
+    metrics[name] = v->number;
+}
+
 void flatten_numbers(const JsonValue& obj, const std::string& prefix,
                      std::map<std::string, double>& out) {
-  if (obj.kind != JsonValue::Kind::kObject) return;
   for (const auto& [key, v] : obj.object) {
-    if (v.kind == JsonValue::Kind::kNumber) out[prefix + key] = v.number;
+    if (v.is_number()) out[prefix + key] = v.number;
   }
 }
 
 }  // namespace
 
 BenchSnapshot parse_bench_snapshot(std::string_view json, const std::string& label) {
-  const std::optional<JsonValue> root = parse_json(json);
-  if (!root || root->kind != JsonValue::Kind::kObject)
+  const std::optional<JsonValue> root = netbase::parse_json(json);
+  if (!root || !root->is_object())
     throw std::runtime_error(label + ": not a JSON object");
   const JsonValue* schema = root->find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->str != "zsobs-v1")
+  if (schema == nullptr || !schema->is_string() || schema->str != "zsobs-v1")
     throw std::runtime_error(label + ": not a zsobs-v1 snapshot");
 
   BenchSnapshot snap;
   snap.path = label;
 
   if (const JsonValue* bench = root->find("bench");
-      bench != nullptr && bench->kind == JsonValue::Kind::kString) {
+      bench != nullptr && bench->is_string()) {
     snap.bench_name = bench->str;
   } else {
     snap.bench_name = bench_name_from_path(label);
   }
 
   if (const JsonValue* build = root->find("build_info");
-      build != nullptr && build->kind == JsonValue::Kind::kObject) {
+      build != nullptr && build->is_object()) {
     snap.build.git_sha = member_string(*build, "git_sha");
     snap.build.compiler = member_string(*build, "compiler");
     snap.build.build_type = member_string(*build, "build_type");
@@ -266,51 +81,35 @@ BenchSnapshot parse_bench_snapshot(std::string_view json, const std::string& lab
     snap.build = BuildInfo{"unknown", "unknown", "unknown", "unknown", "unknown"};
   }
 
-  if (const JsonValue* v = root->find("wall_time_s");
-      v != nullptr && v->kind == JsonValue::Kind::kNumber)
-    snap.metrics["wall_time_s"] = v->number;
-  if (const JsonValue* v = root->find("peak_rss_bytes");
-      v != nullptr && v->kind == JsonValue::Kind::kNumber)
-    snap.metrics["peak_rss_bytes"] = v->number;
+  copy_number(*root, "wall_time_s", "wall_time_s", snap.metrics);
+  copy_number(*root, "peak_rss_bytes", "peak_rss_bytes", snap.metrics);
 
+  // find() on a non-object returns nullptr and a non-object has no
+  // members, so the lookups below need no kind checks.
   if (const JsonValue* counters = root->find("counters"))
     flatten_numbers(*counters, "counter:", snap.metrics);
   if (const JsonValue* gauges = root->find("gauges"))
     flatten_numbers(*gauges, "gauge:", snap.metrics);
-  if (const JsonValue* hists = root->find("histograms");
-      hists != nullptr && hists->kind == JsonValue::Kind::kObject) {
+  if (const JsonValue* hists = root->find("histograms")) {
     for (const auto& [name, h] : hists->object) {
-      if (const JsonValue* sum = h.find("sum");
-          sum != nullptr && sum->kind == JsonValue::Kind::kNumber)
-        snap.metrics["hist_sum:" + name] = sum->number;
-      if (const JsonValue* count = h.find("count");
-          count != nullptr && count->kind == JsonValue::Kind::kNumber)
-        snap.metrics["hist_count:" + name] = count->number;
+      copy_number(h, "sum", "hist_sum:" + name, snap.metrics);
+      copy_number(h, "count", "hist_count:" + name, snap.metrics);
     }
   }
   if (const JsonValue* profile = root->find("profile")) {
-    if (const JsonValue* phases = profile->find("phases");
-        phases != nullptr && phases->kind == JsonValue::Kind::kObject) {
-      for (const auto& [name, p] : phases->object) {
-        if (const JsonValue* share = p.find("share");
-            share != nullptr && share->kind == JsonValue::Kind::kNumber)
-          snap.metrics["phase_share:" + name] = share->number;
-      }
+    if (const JsonValue* phases = profile->find("phases")) {
+      for (const auto& [name, p] : phases->object)
+        copy_number(p, "share", "phase_share:" + name, snap.metrics);
     }
   }
-  if (const JsonValue* latency = root->find("latency");
-      latency != nullptr && latency->kind == JsonValue::Kind::kObject) {
+  if (const JsonValue* latency = root->find("latency")) {
     // The zslat section: each histogram's summary members become
     // latency:<name>:<member> metrics (latency:live.e2e:p99_ns, ...).
     // Only the p99s gate (under --gate-latency); the rest ride along
     // as context for the report.
     for (const auto& [name, h] : latency->object) {
-      for (const char* member : {"p50_ns", "p95_ns", "p99_ns", "mean_ns",
-                                 "count"}) {
-        if (const JsonValue* v = h.find(member);
-            v != nullptr && v->kind == JsonValue::Kind::kNumber)
-          snap.metrics["latency:" + name + ":" + member] = v->number;
-      }
+      for (const char* member : {"p50_ns", "p95_ns", "p99_ns", "mean_ns", "count"})
+        copy_number(h, member, "latency:" + name + ":" + member, snap.metrics);
     }
   }
   if (const JsonValue* heap = root->find("heap")) {
@@ -319,13 +118,9 @@ BenchSnapshot parse_bench_snapshot(std::string_view json, const std::string& lab
     // attribution becomes heap_span_bytes:<name> so a diff can say
     // which phase grew.
     flatten_numbers(*heap, "heap:", snap.metrics);
-    if (const JsonValue* spans = heap->find("spans");
-        spans != nullptr && spans->kind == JsonValue::Kind::kObject) {
-      for (const auto& [name, s] : spans->object) {
-        if (const JsonValue* bytes = s.find("bytes");
-            bytes != nullptr && bytes->kind == JsonValue::Kind::kNumber)
-          snap.metrics["heap_span_bytes:" + name] = bytes->number;
-      }
+    if (const JsonValue* spans = heap->find("spans")) {
+      for (const auto& [name, s] : spans->object)
+        copy_number(s, "bytes", "heap_span_bytes:" + name, snap.metrics);
     }
   }
   return snap;
@@ -445,28 +240,6 @@ std::string format_pct(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%+.2f%%", v);
   return buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string describe_incompatibility(const BuildInfo& a, const BuildInfo& b) {

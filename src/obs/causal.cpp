@@ -185,8 +185,6 @@ std::string render_propagation_tree(const netbase::Prefix& prefix,
   return out;
 }
 
-#if ZS_CAUSAL_ENABLED
-
 // ---------------------------------------------------------------------------
 // The tracer: Vyukov MPSC ring + per-prefix store.
 
@@ -409,7 +407,5 @@ void causal_set_enabled(bool on) { CausalTracer::global().set_enabled(on); }
 void causal_set_announce_sample_rate(double rate) {
   CausalTracer::global().set_announce_sample_rate(rate);
 }
-
-#endif  // ZS_CAUSAL_ENABLED
 
 }  // namespace zombiescope::obs

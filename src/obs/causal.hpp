@@ -32,11 +32,10 @@
 // pattern journal.cpp uses) into a per-prefix store served by
 // GET /causal?prefix=…, and are mirrored into the journal under the
 // `propagation` category so tools/zsroot can rebuild propagation
-// trees offline. ZS_CAUSAL_ENABLED=0 compiles every hook to an empty
-// inline body (same discipline as prof.hpp, enforced by
-// tests/causal_compileout_test.cpp); the record codec and tree
-// renderer below stay available either way — they are pure functions
-// zsroot needs to read journals written by enabled builds.
+// trees offline. causal_set_enabled(false) turns tracing off at run
+// time: begin_trace then hands out unsampled contexts and every hook
+// costs one branch. The record codec and tree renderer below are pure
+// functions zsroot uses to read journals.
 
 #pragma once
 
@@ -51,16 +50,7 @@
 #include "netbase/time.hpp"
 #include "obs/journal.hpp"
 
-#ifndef ZS_CAUSAL_ENABLED
-#define ZS_CAUSAL_ENABLED 1
-#endif
-
 namespace zombiescope::obs {
-
-/// True when the tracing hooks are compiled in. Call sites guard with
-/// `if constexpr (kCausalCompiledIn)` so a ZS_CAUSAL_ENABLED=0 build
-/// executes exactly zero tracing code.
-inline constexpr bool kCausalCompiledIn = ZS_CAUSAL_ENABLED != 0;
 
 /// What kind of update traversed the link. A withdrawal-rooted trace
 /// can contain announcement hops: when a withdrawn best route is
@@ -143,8 +133,6 @@ std::string render_propagation_tree(const netbase::Prefix& prefix,
                                     const std::vector<HopRecord>& records,
                                     std::size_t max_traces = 8);
 
-#if ZS_CAUSAL_ENABLED
-
 /// The process-wide tracer. Enabled by default (tracing an unsampled
 /// wave is one branch per hop; withdrawal volume is tiny next to
 /// announcements); set_enabled(false) turns even that off.
@@ -207,22 +195,12 @@ class CausalTracer {
   Impl* impl_;  // leaked singleton-style: tracer outlives static dtors
 };
 
-// Free-function hooks, mirrored as inline no-ops below when compiled
-// out — the simnet call sites use these, never the class directly.
+// Free-function hooks: the simnet call sites use these, never the
+// class directly.
 TraceContext causal_begin_trace(TraceKind kind);
 void causal_record(const HopRecord& record);
 bool causal_enabled();
 void causal_set_enabled(bool on);
 void causal_set_announce_sample_rate(double rate);
-
-#else
-
-inline TraceContext causal_begin_trace(TraceKind) { return {}; }
-inline void causal_record(const HopRecord&) {}
-inline bool causal_enabled() { return false; }
-inline void causal_set_enabled(bool) {}
-inline void causal_set_announce_sample_rate(double) {}
-
-#endif  // ZS_CAUSAL_ENABLED
 
 }  // namespace zombiescope::obs

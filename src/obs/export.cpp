@@ -7,9 +7,12 @@
 #include <map>
 #include <set>
 
+#include "netbase/json.hpp"
 #include "obs/build_info.hpp"
 
 namespace zombiescope::obs {
+
+using netbase::json_escape;
 
 namespace {
 
@@ -17,28 +20,6 @@ std::string format_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 struct ExportedQuantile {

@@ -5,24 +5,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
+#include "netbase/json.hpp"
 #include "obs/metrics.hpp"
-
-#if ZS_HEAP_ENABLED
-#include <cxxabi.h>
-#include <dlfcn.h>
-#include <pthread.h>
-
-#include <atomic>
-#include <chrono>
-#include <map>
-#include <mutex>
-#include <new>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
-#endif
+#include "obs/stacksample.hpp"
 
 // Interposition wants glibc's __libc_malloc family as the backing
 // allocator (no dlsym bootstrap problem) and must never compete with a
@@ -51,23 +37,26 @@
 #define ZS_HEAP_INTERPOSE 0
 #endif
 
-#if ZS_HEAP_ENABLED
+#if ZS_HEAP_INTERPOSE
 #include <malloc.h>  // malloc_usable_size
 
+#include <atomic>
+#include <chrono>
+#include <map>
+#include <mutex>
+#include <new>
+#include <vector>
+
+extern "C" {
 // Weak references to the sanitizer runtimes' init entry points: when a
 // sanitizer runtime is linked anywhere in the process these resolve
 // non-null and zsheap refuses to start (DESIGN.md §7).
-extern "C" {
 __attribute__((weak)) void __asan_init();
 __attribute__((weak)) void __tsan_init();
 __attribute__((weak)) void __msan_init();
-}
-#endif
 
-#if ZS_HEAP_INTERPOSE
 // glibc's public backing allocator, callable from inside the
 // interposed symbols without recursing through them.
-extern "C" {
 void* __libc_malloc(std::size_t size);
 void __libc_free(void* ptr);
 void* __libc_calloc(std::size_t n, std::size_t size);
@@ -76,41 +65,11 @@ void* __libc_memalign(std::size_t alignment, std::size_t size);
 }
 #endif
 
-// The frame-pointer walk deliberately reads raw stack memory
-// (bounds-checked against the thread's stack segment); keep the
-// sanitizers out of it like prof.cpp does.
-#if defined(__GNUC__) || defined(__clang__)
-#define ZS_HEAP_NO_SANITIZE \
-  __attribute__((no_sanitize("address", "thread", "undefined")))
-#else
-#define ZS_HEAP_NO_SANITIZE
-#endif
-
 namespace zombiescope::obs {
 
-namespace {
+using netbase::json_escape;
 
-std::string heap_json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace {
 
 std::string heap_format_double(double v) {
   char buf[32];
@@ -128,7 +87,7 @@ std::string size_class_label(std::size_t i) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Report rendering (pure data; compiled in both ZS_HEAP_ENABLED modes).
+// Report rendering.
 
 std::string HeapReport::to_folded() const {
   std::string out;
@@ -219,7 +178,7 @@ std::string HeapReport::to_json(std::size_t top_n) const {
   for (const auto& [name, alloc] : span_bytes) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + heap_json_escape(name) +
+    out += "\"" + json_escape(name) +
            "\": {\"bytes\": " + std::to_string(alloc.bytes) +
            ", \"allocs\": " + std::to_string(alloc.allocs) + "}";
   }
@@ -229,7 +188,7 @@ std::string HeapReport::to_json(std::size_t top_n) const {
     if (shown >= top_n) break;
     if (shown != 0) out += ", ";
     ++shown;
-    out += "{\"stack\": \"" + heap_json_escape(site.stack) +
+    out += "{\"stack\": \"" + json_escape(site.stack) +
            "\", \"bytes\": " + std::to_string(site.bytes) +
            ", \"allocs\": " + std::to_string(site.allocs) + "}";
   }
@@ -237,85 +196,17 @@ std::string HeapReport::to_json(std::size_t top_n) const {
   return out;
 }
 
-#if ZS_HEAP_ENABLED
-
-namespace {
-
-bool sanitizer_runtime_linked() {
-  return &__asan_init != nullptr || &__tsan_init != nullptr ||
-         &__msan_init != nullptr;
-}
-
-/// Interned span names live forever, so attribution cells can key on
-/// the pointer and reports can read the text long after the span died.
-const char* heap_intern_name(std::string_view name) {
-  static std::mutex mutex;
-  static auto* names = new std::unordered_set<std::string>();
-  std::lock_guard lock(mutex);
-  return names->emplace(name).first->c_str();
-}
-
-}  // namespace
-
-#endif  // ZS_HEAP_ENABLED
-
 #if ZS_HEAP_INTERPOSE
 
-// ---------------------------------------------------------------------------
-// Thread state and the accounting hooks.
+namespace stacksample {
 
-namespace {
+void* raw_alloc(std::size_t size) noexcept { return __libc_malloc(size); }
 
-constexpr std::size_t kMaxFrames = 32;
-constexpr std::size_t kMaxSpanDepth = 16;
-
-/// One sampled allocation: the usable size, the innermost active span,
-/// and the raw frame-pointer stack. Trivially copyable so the ring
-/// moves plain bytes.
-struct RawAllocSample {
-  std::uint64_t bytes = 0;
-  const char* span = nullptr;
-  std::uint32_t n_pcs = 0;
-  std::uintptr_t pcs[kMaxFrames];
-};
-
-/// SPSC ring: producer is the owner thread's allocation hook, consumer
-/// is stop() on whichever thread ends the session. Allocated from
-/// __libc_malloc and never freed (a thread may die mid-session).
-struct AllocSampleRing {
-  RawAllocSample* slots = nullptr;
-  std::size_t mask = 0;
-  alignas(64) std::atomic<std::uint64_t> head{0};
-  alignas(64) std::atomic<std::uint64_t> tail{0};
-};
-
-AllocSampleRing* new_sample_ring(std::size_t capacity) {
-  std::size_t cap = 64;
-  while (cap < capacity) cap <<= 1;
-  void* ring_mem = __libc_malloc(sizeof(AllocSampleRing));
-  void* slot_mem = __libc_malloc(cap * sizeof(RawAllocSample));
-  if (ring_mem == nullptr || slot_mem == nullptr) {
-    __libc_free(ring_mem);
-    __libc_free(slot_mem);
-    return nullptr;
-  }
-  auto* ring = new (ring_mem) AllocSampleRing();
-  ring->slots = static_cast<RawAllocSample*>(slot_mem);
-  ring->mask = cap - 1;
-  return ring;
-}
-
-/// Owner-thread increment of a counter that stop() reads cross-thread:
-/// a relaxed load+store pair compiles to a plain add (no lock prefix)
-/// because the owner is the only writer — this is what keeps the
-/// active-session hot path cheap enough for the <5% bench bound.
-inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t delta) {
-  cell.store(cell.load(std::memory_order_relaxed) + delta,
-             std::memory_order_relaxed);
-}
-
-struct HeapThreadState {
-  // Exhaustive counters, owner-written (bump), aggregated by stop().
+/// zsheap's per-thread state beside the shared core's: exhaustive
+/// counters, the span table and the 1-in-N countdown. Owner-written
+/// (bump), aggregated cross-thread by stop().
+struct HeapCells {
+  ThreadState* thread = nullptr;
   std::atomic<std::uint64_t> total_bytes{0};
   std::atomic<std::uint64_t> allocs{0};
   std::atomic<std::uint64_t> frees{0};
@@ -334,30 +225,44 @@ struct HeapThreadState {
   std::atomic<std::uint64_t> unattributed_bytes{0};
   std::atomic<std::uint64_t> unattributed_allocs{0};
 
-  // Active-span stack, maintained by heap_push_span/heap_pop_span on
-  // the owner thread and read by the allocation hook on the same
-  // thread — the same two-relaxed-stores discipline as prof.cpp's
-  // ThreadState (signal fences order the name store before the depth
-  // store, so a mid-push hook never reads a stale name).
-  const char* span_stack[kMaxSpanDepth] = {};
-  std::atomic<std::uint32_t> span_depth{0};
-
   // 1-in-N stack sampling.
   std::atomic<std::uint64_t> countdown{0};
-  std::atomic<AllocSampleRing*> ring{nullptr};
 
-  // Stack segment bounds for the frame-pointer walk.
-  std::uintptr_t stack_lo = 0;
-  std::uintptr_t stack_hi = 0;
+  /// Zeroes the session counters; only while no hook is active, so the
+  /// cross-thread relaxed stores cannot collide with owner writes.
+  void reset(std::uint64_t sample_every) {
+    for (auto* cell : {&total_bytes, &allocs, &frees, &freed_bytes, &span_other_bytes,
+                       &span_other_allocs, &unattributed_bytes, &unattributed_allocs})
+      cell->store(0, std::memory_order_relaxed);
+    for (auto& cell : size_class) cell.store(0, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < kSpanSlots; ++i) {
+      span_name[i].store(nullptr, std::memory_order_relaxed);
+      span_bytes[i].store(0, std::memory_order_relaxed);
+      span_allocs[i].store(0, std::memory_order_relaxed);
+    }
+    countdown.store(sample_every, std::memory_order_relaxed);
+  }
 };
 
-// Every thread that ever touched the profiler. Entries (and their
-// rings) are never freed: a hook may race a thread exiting, so
-// reclamation would be unsound; the leak is a few KB per thread.
-std::mutex g_heap_threads_mutex;
-std::vector<HeapThreadState*>& heap_thread_registry() {
-  static auto* v = new std::vector<HeapThreadState*>();
-  return *v;
+}  // namespace stacksample
+
+namespace {
+
+namespace ss = stacksample;
+using ss::HeapCells;
+
+bool sanitizer_runtime_linked() {
+  return &__asan_init != nullptr || &__tsan_init != nullptr ||
+         &__msan_init != nullptr;
+}
+
+/// Owner-thread increment of a counter that stop() reads cross-thread:
+/// a relaxed load+store pair compiles to a plain add (no lock prefix)
+/// because the owner is the only writer — this is what keeps the
+/// active-session hot path cheap enough for the <5% bench bound.
+inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t delta) {
+  cell.store(cell.load(std::memory_order_relaxed) + delta,
+             std::memory_order_relaxed);
 }
 
 // The hook fast path reads only these. All constant-initialized so an
@@ -368,53 +273,29 @@ constinit std::atomic<std::uint64_t> g_heap_sample_every{1024};
 constinit std::atomic<std::int64_t> g_heap_live{0};
 constinit std::atomic<std::uint64_t> g_heap_peak{0};
 constinit std::atomic<std::uint64_t> g_heap_sample_drops{0};
-std::size_t g_heap_ring_capacity = 4096;  // active session's option
 
-// Reentrancy guard: internal allocations (thread-state setup,
-// pthread_getattr_np's /proc read) route through the interposed
-// symbols too; the guard keeps them out of the accounting. Plain POD
-// thread_locals so first access never allocates.
+// Reentrancy guard: internal allocations (the stack-bounds query's
+// /proc read during thread registration, the report's own containers) route
+// through the interposed symbols too; the guard keeps them out of the
+// accounting. Plain POD thread_locals so first access never allocates.
 thread_local bool t_heap_in_hook = false;
-thread_local HeapThreadState* t_heap = nullptr;
+thread_local HeapCells* t_cells = nullptr;
 
-void heap_thread_stack_bounds(std::uintptr_t& lo, std::uintptr_t& hi) {
-  lo = 0;
-  hi = 0;
-  pthread_attr_t attr;
-  if (pthread_getattr_np(pthread_self(), &attr) != 0) return;
-  void* addr = nullptr;
-  std::size_t size = 0;
-  if (pthread_attr_getstack(&attr, &addr, &size) == 0) {
-    lo = reinterpret_cast<std::uintptr_t>(addr);
-    hi = lo + size;
-  }
-  pthread_attr_destroy(&attr);
-}
-
-HeapThreadState* ensure_heap_thread() {
-  HeapThreadState* ts = t_heap;
-  if (ts != nullptr) return ts;
-  const bool saved = t_heap_in_hook;
-  t_heap_in_hook = true;
-  void* mem = __libc_malloc(sizeof(HeapThreadState));
-  if (mem == nullptr) {
-    t_heap_in_hook = saved;
-    return nullptr;
-  }
-  ts = new (mem) HeapThreadState();
-  heap_thread_stack_bounds(ts->stack_lo, ts->stack_hi);
-  ts->countdown.store(g_heap_sample_every.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  {
-    std::lock_guard lock(g_heap_threads_mutex);
-    heap_thread_registry().push_back(ts);
-    if (g_heap_active.load(std::memory_order_relaxed))
-      ts->ring.store(new_sample_ring(g_heap_ring_capacity),
-                     std::memory_order_release);
-  }
-  t_heap_in_hook = saved;
-  t_heap = ts;
-  return ts;
+/// The calling thread's cells, created on its first accounted
+/// allocation from memory that bypasses the interposed allocator.
+HeapCells* heap_cells() {
+  if (t_cells != nullptr) return t_cells;
+  ss::ThreadState* ts = ss::thread_state();
+  if (ts == nullptr) return nullptr;
+  void* mem = ss::raw_alloc(sizeof(HeapCells));
+  if (mem == nullptr) return nullptr;
+  auto* cells = new (mem) HeapCells();
+  cells->thread = ts;
+  cells->countdown.store(g_heap_sample_every.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+  ts->heap.store(cells, std::memory_order_release);
+  t_cells = cells;
+  return cells;
 }
 
 /// Requested-size histogram class: i covers sizes <= 16 << i, the last
@@ -428,97 +309,55 @@ inline std::size_t size_class_of(std::size_t size) {
   return cls < kHeapSizeClasses ? cls : kHeapSizeClasses - 1;
 }
 
-/// FP-chain walk from the hook itself — bounds-checked against the
-/// thread's stack segment exactly like prof.cpp's walker: every frame
-/// must lie inside the segment, be pointer-aligned, and move strictly
-/// upward, so a corrupt chain terminates the walk, it cannot fault.
-ZS_HEAP_NO_SANITIZE
-std::uint32_t heap_capture_stack(const HeapThreadState* ts,
-                                 std::uintptr_t* pcs) {
-  std::uintptr_t fp =
-      reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
-  const std::uintptr_t lo = ts->stack_lo;
-  const std::uintptr_t hi = ts->stack_hi;
-  std::uint32_t n = 0;
-  while (n < kMaxFrames && fp >= lo && hi >= 2 * sizeof(std::uintptr_t) &&
-         fp <= hi - 2 * sizeof(std::uintptr_t) &&
-         (fp & (sizeof(std::uintptr_t) - 1)) == 0) {
-    const auto* frame = reinterpret_cast<const std::uintptr_t*>(fp);
-    const std::uintptr_t ret = frame[1];
-    const std::uintptr_t next = frame[0];
-    if (ret < 0x1000) break;  // not a plausible return address
-    pcs[n++] = ret;
-    if (next <= fp) break;  // frames must move up the stack
-    fp = next;
-  }
-  return n;
-}
-
-/// The innermost active span of the calling thread (nullptr if none) —
-/// two relaxed loads mirroring the push side's two relaxed stores.
-inline const char* innermost_span(const HeapThreadState* ts) {
-  std::uint32_t depth = ts->span_depth.load(std::memory_order_relaxed);
-  std::atomic_signal_fence(std::memory_order_acquire);
-  if (depth == 0) return nullptr;
-  if (depth > kMaxSpanDepth) depth = kMaxSpanDepth;
-  return ts->span_stack[depth - 1];
-}
-
-void attribute_span(HeapThreadState* ts, const char* span, std::uint64_t bytes) {
+void attribute_span(HeapCells* cells, const char* span, std::uint64_t bytes) {
   if (span == nullptr) {
-    bump(ts->unattributed_bytes, bytes);
-    bump(ts->unattributed_allocs, 1);
+    bump(cells->unattributed_bytes, bytes);
+    bump(cells->unattributed_allocs, 1);
     return;
   }
   const std::uintptr_t key = reinterpret_cast<std::uintptr_t>(span);
   std::size_t slot = (key >> 4) * 0x9E3779B97F4A7C15ull >>
                      (64 - 6);  // 2^6 == kSpanSlots
-  for (std::size_t probe = 0; probe < HeapThreadState::kSpanSlots; ++probe) {
-    const char* existing = ts->span_name[slot].load(std::memory_order_relaxed);
+  for (std::size_t probe = 0; probe < HeapCells::kSpanSlots; ++probe) {
+    const char* existing = cells->span_name[slot].load(std::memory_order_relaxed);
     if (existing == nullptr) {
       // Owner thread is the only writer; the relaxed store publishes
       // the slot for stop()'s cross-thread read.
-      ts->span_name[slot].store(span, std::memory_order_relaxed);
+      cells->span_name[slot].store(span, std::memory_order_relaxed);
       existing = span;
     }
     if (existing == span) {
-      bump(ts->span_bytes[slot], bytes);
-      bump(ts->span_allocs[slot], 1);
+      bump(cells->span_bytes[slot], bytes);
+      bump(cells->span_allocs[slot], 1);
       return;
     }
-    slot = (slot + 1) & (HeapThreadState::kSpanSlots - 1);
+    slot = (slot + 1) & (HeapCells::kSpanSlots - 1);
   }
-  bump(ts->span_other_bytes, bytes);
-  bump(ts->span_other_allocs, 1);
+  bump(cells->span_other_bytes, bytes);
+  bump(cells->span_other_allocs, 1);
 }
 
-ZS_HEAP_NO_SANITIZE
-void maybe_sample(HeapThreadState* ts, const char* span, std::uint64_t bytes) {
-  const std::uint64_t countdown =
-      ts->countdown.load(std::memory_order_relaxed);
+void maybe_sample(HeapCells* cells, const char* span, std::uint64_t bytes) {
+  const std::uint64_t countdown = cells->countdown.load(std::memory_order_relaxed);
   if (countdown == 0) return;  // sampling disabled (sample_every == 0)
   if (countdown > 1) {
-    ts->countdown.store(countdown - 1, std::memory_order_relaxed);
+    cells->countdown.store(countdown - 1, std::memory_order_relaxed);
     return;
   }
-  ts->countdown.store(g_heap_sample_every.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  AllocSampleRing* ring = ts->ring.load(std::memory_order_acquire);
-  if (ring == nullptr) {
+  cells->countdown.store(g_heap_sample_every.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+  ss::Ring* ring = ss::ring(*cells->thread, ss::kAlloc);
+  ss::Sample* sample = ring == nullptr ? nullptr : ring->claim();
+  if (sample == nullptr) {
     g_heap_sample_drops.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-  const std::uint64_t tail = ring->tail.load(std::memory_order_acquire);
-  if (head - tail > ring->mask) {  // full: drop, never wait
-    g_heap_sample_drops.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  RawAllocSample& sample = ring->slots[head & ring->mask];
-  sample.bytes = bytes;
-  sample.span = span;
-  sample.n_pcs = heap_capture_stack(ts, sample.pcs);
-  ring->head.store(head + 1, std::memory_order_release);
+  sample->weight = bytes;
+  sample->n_spans = span == nullptr ? 0 : 1;
+  sample->spans[0] = span;
+  sample->n_pcs = ss::walk(reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)),
+                           *cells->thread, sample->pcs, 0);
+  ring->publish();
 }
 
 }  // namespace
@@ -531,40 +370,41 @@ namespace heap_detail {
 void note_alloc(void* ptr, std::size_t requested) noexcept {
   if (!g_heap_active.load(std::memory_order_relaxed)) return;
   if (ptr == nullptr || t_heap_in_hook) return;
-  HeapThreadState* ts = ensure_heap_thread();
-  if (ts == nullptr) return;
   t_heap_in_hook = true;
-  const std::uint64_t usable = malloc_usable_size(ptr);
-  bump(ts->total_bytes, usable);
-  bump(ts->allocs, 1);
-  bump(ts->size_class[size_class_of(requested)], 1);
-  const char* span = innermost_span(ts);
-  attribute_span(ts, span, usable);
-  const std::int64_t live =
-      g_heap_live.fetch_add(static_cast<std::int64_t>(usable),
-                            std::memory_order_relaxed) +
-      static_cast<std::int64_t>(usable);
-  if (live > 0) {
-    const auto live_u = static_cast<std::uint64_t>(live);
-    std::uint64_t peak = g_heap_peak.load(std::memory_order_relaxed);
-    while (live_u > peak && !g_heap_peak.compare_exchange_weak(
-                                peak, live_u, std::memory_order_relaxed)) {
+  HeapCells* cells = heap_cells();
+  if (cells != nullptr) {
+    const std::uint64_t usable = malloc_usable_size(ptr);
+    bump(cells->total_bytes, usable);
+    bump(cells->allocs, 1);
+    bump(cells->size_class[size_class_of(requested)], 1);
+    const char* span = ss::innermost_span(*cells->thread);
+    attribute_span(cells, span, usable);
+    const std::int64_t live =
+        g_heap_live.fetch_add(static_cast<std::int64_t>(usable),
+                              std::memory_order_relaxed) +
+        static_cast<std::int64_t>(usable);
+    if (live > 0) {
+      const auto live_u = static_cast<std::uint64_t>(live);
+      std::uint64_t peak = g_heap_peak.load(std::memory_order_relaxed);
+      while (live_u > peak && !g_heap_peak.compare_exchange_weak(
+                                  peak, live_u, std::memory_order_relaxed)) {
+      }
     }
+    maybe_sample(cells, span, usable);
   }
-  maybe_sample(ts, span, usable);
   t_heap_in_hook = false;
 }
 
 void note_free_bytes(std::size_t usable) noexcept {
   if (!g_heap_active.load(std::memory_order_relaxed)) return;
   if (t_heap_in_hook) return;
-  HeapThreadState* ts = ensure_heap_thread();
-  if (ts == nullptr) return;
   t_heap_in_hook = true;
-  bump(ts->frees, 1);
-  bump(ts->freed_bytes, usable);
-  g_heap_live.fetch_sub(static_cast<std::int64_t>(usable),
-                        std::memory_order_relaxed);
+  if (HeapCells* cells = heap_cells()) {
+    bump(cells->frees, 1);
+    bump(cells->freed_bytes, usable);
+    g_heap_live.fetch_sub(static_cast<std::int64_t>(usable),
+                          std::memory_order_relaxed);
+  }
   t_heap_in_hook = false;
 }
 
@@ -581,37 +421,7 @@ bool active() noexcept {
 }  // namespace heap_detail
 
 // ---------------------------------------------------------------------------
-// Span hooks (called from obs/trace.cpp while a session is active).
-
-bool heap_attribution_active() noexcept {
-  return g_heap_active.load(std::memory_order_relaxed);
-}
-
-const char* heap_intern(std::string_view name) {
-  return heap_intern_name(name);
-}
-
-void heap_push_span(const char* interned_name) noexcept {
-  HeapThreadState* ts = ensure_heap_thread();
-  if (ts == nullptr) return;
-  const std::uint32_t depth = ts->span_depth.load(std::memory_order_relaxed);
-  if (depth < kMaxSpanDepth) ts->span_stack[depth] = interned_name;
-  // The name store must be visible before the depth covers it; the
-  // reader is the allocation hook on this same thread, so a signal
-  // fence suffices (prof.cpp's SIGPROF discipline, reused verbatim).
-  std::atomic_signal_fence(std::memory_order_release);
-  ts->span_depth.store(depth + 1, std::memory_order_relaxed);
-}
-
-void heap_pop_span() noexcept {
-  HeapThreadState* ts = t_heap;
-  if (ts == nullptr) return;
-  const std::uint32_t depth = ts->span_depth.load(std::memory_order_relaxed);
-  if (depth > 0) ts->span_depth.store(depth - 1, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Session control, aggregation, symbolization.
+// Session control and aggregation.
 
 namespace {
 
@@ -640,34 +450,31 @@ struct HeapTotals {
 
 HeapTotals aggregate_totals() {
   HeapTotals totals;
-  std::vector<HeapThreadState*> threads;
-  {
-    std::lock_guard lock(g_heap_threads_mutex);
-    threads = heap_thread_registry();
-  }
   std::uint64_t other_bytes = 0;
   std::uint64_t other_allocs = 0;
   std::uint64_t none_bytes = 0;
   std::uint64_t none_allocs = 0;
-  for (const HeapThreadState* ts : threads) {
-    totals.total_bytes += ts->total_bytes.load(std::memory_order_relaxed);
-    totals.allocs += ts->allocs.load(std::memory_order_relaxed);
-    totals.frees += ts->frees.load(std::memory_order_relaxed);
-    totals.freed_bytes += ts->freed_bytes.load(std::memory_order_relaxed);
+  for (const ss::ThreadState* ts = ss::threads(); ts != nullptr; ts = ts->next) {
+    const HeapCells* cells = ts->heap.load(std::memory_order_acquire);
+    if (cells == nullptr) continue;
+    totals.total_bytes += cells->total_bytes.load(std::memory_order_relaxed);
+    totals.allocs += cells->allocs.load(std::memory_order_relaxed);
+    totals.frees += cells->frees.load(std::memory_order_relaxed);
+    totals.freed_bytes += cells->freed_bytes.load(std::memory_order_relaxed);
     for (std::size_t i = 0; i < kHeapSizeClasses; ++i)
       totals.size_class_allocs[i] +=
-          ts->size_class[i].load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < HeapThreadState::kSpanSlots; ++i) {
-      const char* name = ts->span_name[i].load(std::memory_order_relaxed);
+          cells->size_class[i].load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < HeapCells::kSpanSlots; ++i) {
+      const char* name = cells->span_name[i].load(std::memory_order_relaxed);
       if (name == nullptr) continue;
       HeapSpanAlloc& cell = totals.span_bytes[name];
-      cell.bytes += ts->span_bytes[i].load(std::memory_order_relaxed);
-      cell.allocs += ts->span_allocs[i].load(std::memory_order_relaxed);
+      cell.bytes += cells->span_bytes[i].load(std::memory_order_relaxed);
+      cell.allocs += cells->span_allocs[i].load(std::memory_order_relaxed);
     }
-    other_bytes += ts->span_other_bytes.load(std::memory_order_relaxed);
-    other_allocs += ts->span_other_allocs.load(std::memory_order_relaxed);
-    none_bytes += ts->unattributed_bytes.load(std::memory_order_relaxed);
-    none_allocs += ts->unattributed_allocs.load(std::memory_order_relaxed);
+    other_bytes += cells->span_other_bytes.load(std::memory_order_relaxed);
+    other_allocs += cells->span_other_allocs.load(std::memory_order_relaxed);
+    none_bytes += cells->unattributed_bytes.load(std::memory_order_relaxed);
+    none_allocs += cells->unattributed_allocs.load(std::memory_order_relaxed);
   }
   if (other_allocs != 0)
     totals.span_bytes["(other spans)"] = {other_bytes, other_allocs};
@@ -676,92 +483,21 @@ HeapTotals aggregate_totals() {
   return totals;
 }
 
-std::string heap_symbolize(
-    std::uintptr_t pc, std::unordered_map<std::uintptr_t, std::string>& cache) {
-  const auto it = cache.find(pc);
-  if (it != cache.end()) return it->second;
-  std::string name;
-  Dl_info info{};
-  if (dladdr(reinterpret_cast<void*>(pc), &info) != 0 &&
-      info.dli_sname != nullptr) {
-    int status = 1;
-    char* demangled =
-        abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
-    name = (status == 0 && demangled != nullptr) ? demangled : info.dli_sname;
-    std::free(demangled);
-  } else {
-    // No symbol (static function, stripped object): module+offset,
-    // resolvable offline with addr2line.
-    const char* module = info.dli_fname != nullptr ? info.dli_fname : "?";
-    if (const char* slash = std::strrchr(module, '/'); slash != nullptr)
-      module = slash + 1;
-    const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(info.dli_fbase);
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), "%s+0x%" PRIxPTR, module,
-                  base != 0 && pc >= base ? pc - base : pc);
-    name = buf;
-  }
-  // Frames are joined with ';' in folded output; scrub the separator.
-  for (char& c : name) {
-    if (c == ';') c = ':';
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  cache.emplace(pc, name);
-  return name;
-}
-
 /// Drains every ring and folds the samples into symbolized sites.
 void drain_and_fold(HeapReport& report) {
-  std::vector<HeapThreadState*> threads;
-  {
-    std::lock_guard lock(g_heap_threads_mutex);
-    threads = heap_thread_registry();
-  }
-  // Aggregate by raw (span pointer, pcs) first: symbolization is
-  // expensive and identical stacks collapse before it runs.
-  using StackKey = std::vector<std::uintptr_t>;
-  std::map<StackKey, std::pair<std::uint64_t, std::uint64_t>> aggregate;
-  StackKey key;
-  for (HeapThreadState* ts : threads) {
-    AllocSampleRing* ring = ts->ring.load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    std::uint64_t tail = ring->tail.load(std::memory_order_relaxed);
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    while (tail != head) {
-      const RawAllocSample& sample = ring->slots[tail & ring->mask];
-      key.clear();
-      key.reserve(1 + sample.n_pcs);
-      key.push_back(reinterpret_cast<std::uintptr_t>(sample.span));
-      for (std::uint32_t i = 0; i < sample.n_pcs; ++i)
-        key.push_back(sample.pcs[i]);
-      auto& cell = aggregate[key];
-      cell.first += sample.bytes;
-      cell.second += 1;
-      report.samples += 1;
-      report.sampled_bytes += sample.bytes;
-      ++tail;
-      ring->tail.store(tail, std::memory_order_release);
-    }
-  }
-  std::unordered_map<std::uintptr_t, std::string> symbol_cache;
-  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> folded;
-  for (const auto& [k, cell] : aggregate) {
-    // Root-first: the span, then the frames (captured leaf-first).
-    std::string stack;
-    if (k[0] != 0) stack = reinterpret_cast<const char*>(k[0]);
-    const std::size_t n_pcs = k.size() - 1;
-    for (std::size_t i = n_pcs; i-- > 0;) {
-      if (!stack.empty()) stack += ';';
-      stack += heap_symbolize(k[1 + i], symbol_cache);
-    }
-    if (stack.empty()) stack = "(unknown)";
-    auto& f = folded[stack];
-    f.first += cell.first;
-    f.second += cell.second;
+  ss::Aggregate aggregate;
+  ss::drain(ss::kAlloc, aggregate);
+  std::map<std::string, ss::Weight> folded;
+  for (const ss::Stack& stack : ss::symbolize(aggregate)) {
+    report.samples += stack.weight.count;
+    report.sampled_bytes += stack.weight.weight;
+    ss::Weight& site = folded[stack.folded()];
+    site.weight += stack.weight.weight;
+    site.count += stack.weight.count;
   }
   report.top_sites.reserve(folded.size());
-  for (const auto& [stack, cell] : folded)
-    report.top_sites.push_back({stack, cell.first, cell.second});
+  for (const auto& [stack, site] : folded)
+    report.top_sites.push_back({stack, site.weight, site.count});
   std::sort(report.top_sites.begin(), report.top_sites.end(),
             [](const HeapSite& a, const HeapSite& b) {
               if (a.bytes != b.bytes) return a.bytes > b.bytes;
@@ -787,11 +523,7 @@ bool HeapProfiler::running() const {
 }
 
 std::uint64_t HeapProfiler::allocs_observed() const {
-  std::uint64_t sum = 0;
-  std::lock_guard lock(g_heap_threads_mutex);
-  for (const HeapThreadState* ts : heap_thread_registry())
-    sum += ts->allocs.load(std::memory_order_relaxed);
-  return sum;
+  return aggregate_totals().allocs;
 }
 
 bool HeapProfiler::start(const HeapProfilerOptions& options) {
@@ -806,41 +538,14 @@ bool HeapProfiler::start(const HeapProfilerOptions& options) {
   g_heap_peak.store(0, std::memory_order_relaxed);
   g_heap_sample_drops.store(0, std::memory_order_relaxed);
 
-  // Register the calling thread, then zero every known thread's
-  // counters and give it a (drained) ring. No hook is active between
-  // sessions, so the cross-thread relaxed stores cannot collide with
-  // owner writes.
-  ensure_heap_thread();
-  {
-    std::lock_guard lock(g_heap_threads_mutex);
-    g_heap_ring_capacity = options.ring_capacity;
-    for (HeapThreadState* ts : heap_thread_registry()) {
-      ts->total_bytes.store(0, std::memory_order_relaxed);
-      ts->allocs.store(0, std::memory_order_relaxed);
-      ts->frees.store(0, std::memory_order_relaxed);
-      ts->freed_bytes.store(0, std::memory_order_relaxed);
-      for (std::size_t i = 0; i < kHeapSizeClasses; ++i)
-        ts->size_class[i].store(0, std::memory_order_relaxed);
-      for (std::size_t i = 0; i < HeapThreadState::kSpanSlots; ++i) {
-        ts->span_name[i].store(nullptr, std::memory_order_relaxed);
-        ts->span_bytes[i].store(0, std::memory_order_relaxed);
-        ts->span_allocs[i].store(0, std::memory_order_relaxed);
-      }
-      ts->span_other_bytes.store(0, std::memory_order_relaxed);
-      ts->span_other_allocs.store(0, std::memory_order_relaxed);
-      ts->unattributed_bytes.store(0, std::memory_order_relaxed);
-      ts->unattributed_allocs.store(0, std::memory_order_relaxed);
-      ts->countdown.store(options.sample_every, std::memory_order_relaxed);
-      AllocSampleRing* ring = ts->ring.load(std::memory_order_relaxed);
-      if (ring == nullptr) {
-        ts->ring.store(new_sample_ring(g_heap_ring_capacity),
-                       std::memory_order_release);
-      } else {
-        ring->tail.store(ring->head.load(std::memory_order_acquire),
-                         std::memory_order_release);
-      }
-    }
+  // Register the calling thread, zero every known thread's counters and
+  // give it an empty ring.
+  ss::thread_state();
+  for (ss::ThreadState* ts = ss::threads(); ts != nullptr; ts = ts->next) {
+    if (HeapCells* cells = ts->heap.load(std::memory_order_acquire))
+      cells->reset(options.sample_every);
   }
+  ss::arm(ss::kAlloc, options.ring_capacity);
 
   s.started_at = std::chrono::steady_clock::now();
   s.running = true;
@@ -872,6 +577,7 @@ HeapReport HeapProfiler::stop() {
   report.peak_live_bytes = g_heap_peak.load(std::memory_order_relaxed);
   report.dropped = g_heap_sample_drops.load(std::memory_order_relaxed);
   drain_and_fold(report);
+  ss::disarm(ss::kAlloc);
 
   s.running = false;
   heap_publish_metrics();
@@ -1018,15 +724,12 @@ void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
 
 namespace zombiescope::obs {
 
-#elif ZS_HEAP_ENABLED  // compiled in, but no interposition (sanitizer)
+#else  // no interposition: ZS_HEAP_ENABLED=0, or a sanitizer owns malloc
 
-// The sanitizer owns malloc; zsheap's hooks stay inert so the two
-// never fight (the hard ASan-conflict rule from ISSUE 6 / DESIGN.md).
-
-bool heap_attribution_active() noexcept { return false; }
-const char* heap_intern(std::string_view name) { return heap_intern_name(name); }
-void heap_push_span(const char*) noexcept {}
-void heap_pop_span() noexcept {}
+// Nothing to bypass. Under a sanitizer glibc's allocator must not be
+// called directly: its per-thread arena bookkeeping was never set up,
+// and a thread exit then aborts on it.
+void* stacksample::raw_alloc(std::size_t size) noexcept { return std::malloc(size); }
 
 HeapProfiler& HeapProfiler::global() {
   static auto* profiler = new HeapProfiler();
@@ -1040,21 +743,7 @@ bool HeapProfiler::running() const { return false; }
 std::uint64_t HeapProfiler::allocs_observed() const { return 0; }
 void heap_publish_metrics() {}
 
-#else  // !ZS_HEAP_ENABLED — every entry point is an inert stub.
-
-HeapProfiler& HeapProfiler::global() {
-  static auto* profiler = new HeapProfiler();
-  return *profiler;
-}
-bool HeapProfiler::interposition_compiled() { return false; }
-bool HeapProfiler::interposition_available() { return false; }
-bool HeapProfiler::start(const HeapProfilerOptions&) { return false; }
-HeapReport HeapProfiler::stop() { return {}; }
-bool HeapProfiler::running() const { return false; }
-std::uint64_t HeapProfiler::allocs_observed() const { return 0; }
-void heap_publish_metrics() {}
-
-#endif  // ZS_HEAP_INTERPOSE / ZS_HEAP_ENABLED
+#endif  // ZS_HEAP_INTERPOSE
 
 ScopedHeapSession::ScopedHeapSession(std::string path)
     : path_(std::move(path)) {

@@ -11,21 +11,22 @@
 //     power-of-two size-class histogram — aggregated at stop();
 //   * live/peak tracking via one process-global pair of atomics;
 //   * span attribution: each allocation is credited to the innermost
-//     active zsobs span of the calling thread, maintained by the same
-//     two-relaxed-stores mechanism prof.cpp uses for SIGPROF samples
-//     (obs/trace.cpp pushes via heap_push_span while a session runs);
+//     active zsobs span of the calling thread, read from the span stack
+//     zsprof shares (obs/stacksample.hpp; ScopedSpan pushes it while
+//     either session runs);
 //   * a 1-in-N sampler (default 1024) captures frame-pointer call
-//     stacks — bounds-checked exactly like prof.cpp's walker — into
-//     per-thread SPSC rings; stop() folds and self-symbolizes them
-//     (dladdr + demangling) into a top-N allocation-site table.
+//     stacks with the shared bounds-checked walk into per-thread SPSC
+//     rings; stop() folds and self-symbolizes them (dynamic symbols +
+//     demangling) into a top-N allocation-site table.
 //
 // When no session is active the interposed hot path is a single
 // relaxed atomic load on top of libc's allocator. Sanitizer builds
 // (ASan/TSan/MSan own the allocator) compile the interposition out and
 // detect a sanitizer runtime at start() via weak __sanitizer symbols —
 // zsheap steps aside instead of fighting for malloc (DESIGN.md §7).
-// ZS_HEAP_ENABLED=0 removes every hook (empty inline bodies), enforced
-// by tests/heap_compileout_test like prof/causal.
+// ZS_HEAP_ENABLED=0 (cmake -DZS_HEAP=OFF, the build's one compile-out
+// switch) leaves malloc to libc and every entry point inert, enforced
+// by tests/heap_compileout_test.
 //
 // Surfaces: --heap-out on zssim/zsdetect/zslived, GET /heap?seconds=N
 // on the obs HTTP server, the `heap` section of every BENCH_*.json,
@@ -176,28 +177,5 @@ class ScopedHeapSession {
 /// stop(), the /metrics route, and the bench harness; cheap enough to
 /// call on every scrape. No-op when no session ever ran.
 void heap_publish_metrics();
-
-// --- span-attribution hooks (used by obs/trace.cpp) -----------------
-//
-// ScopedSpan pushes its interned name while a heap session is active
-// so the allocation hook can read the innermost span with two relaxed
-// loads. All of this is a no-op when no session runs, and compiles
-// away entirely when ZS_HEAP_ENABLED=0 (call sites guard with
-// kHeapCompiledIn).
-
-#if ZS_HEAP_ENABLED
-/// One relaxed atomic load: should spans register with the profiler?
-bool heap_attribution_active() noexcept;
-/// Returns a pointer that stays valid forever (names are interned).
-const char* heap_intern(std::string_view name);
-/// Pushes/pops the calling thread's active-span stack.
-void heap_push_span(const char* interned_name) noexcept;
-void heap_pop_span() noexcept;
-#else
-inline bool heap_attribution_active() noexcept { return false; }
-inline const char* heap_intern(std::string_view) { return nullptr; }
-inline void heap_push_span(const char*) noexcept {}
-inline void heap_pop_span() noexcept {}
-#endif
 
 }  // namespace zombiescope::obs

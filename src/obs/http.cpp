@@ -15,6 +15,7 @@
 #include <ctime>
 #include <thread>
 
+#include "netbase/json.hpp"
 #include "obs/causal.hpp"
 #include "obs/export.hpp"
 #include "obs/heap.hpp"
@@ -88,8 +89,7 @@ HttpResponse route(std::string_view method, std::string_view target) {
   if (path == "/latency") {
     // The zslat latency histograms (obs/lathist.hpp): every registered
     // pipeline-stage histogram as JSON with p50/p95/p99, or folded
-    // per-bucket text with ?format=folded. With ZS_LATHIST_ENABLED=0
-    // the registry is an empty stub and this renders "{}".
+    // per-bucket text with ?format=folded.
     if (query_string(target, "format") == "folded") {
       return {200, "text/plain; charset=utf-8",
               LatRegistry::global().to_folded(), {}};
@@ -121,44 +121,31 @@ HttpResponse route(std::string_view method, std::string_view target) {
     return {200, "application/x-ndjson", std::move(body), {}};
   }
   if (path == "/causal") {
-    // Preprocessor guard (not if constexpr): the CausalTracer type
-    // itself only exists when the tracer is compiled in.
-#if !ZS_CAUSAL_ENABLED
-    return {501, "text/plain; charset=utf-8",
-            "causal tracer compiled out (ZS_CAUSAL_ENABLED=0)\n", {}};
-#else
-    {
-      const std::string prefix_text = query_string(target, "prefix");
-      CausalTracer& tracer = CausalTracer::global();
-      tracer.drain();
-      if (prefix_text.empty()) {
-        // Index: which prefixes have traces buffered.
-        std::string body;
-        for (const netbase::Prefix& prefix : tracer.traced_prefixes()) {
-          body += prefix.to_string();
-          body += '\n';
-        }
-        if (body.empty()) body = "no traced prefixes\n";
-        return {200, "text/plain; charset=utf-8", std::move(body), {}};
+    const std::string prefix_text = query_string(target, "prefix");
+    CausalTracer& tracer = CausalTracer::global();
+    tracer.drain();
+    if (prefix_text.empty()) {
+      // Index: which prefixes have traces buffered.
+      std::string body;
+      for (const netbase::Prefix& prefix : tracer.traced_prefixes()) {
+        body += prefix.to_string();
+        body += '\n';
       }
-      const auto prefix = netbase::Prefix::try_parse(prefix_text);
-      if (!prefix.has_value()) {
-        return {400, "text/plain; charset=utf-8",
-                "bad ?prefix=" + prefix_text + "\n", {}};
-      }
-      const std::size_t max_traces = query_uint(target, "max_traces", 8);
-      return {200, "text/plain; charset=utf-8",
-              render_propagation_tree(*prefix, tracer.records_for(*prefix),
-                                      max_traces),
-              {}};
+      if (body.empty()) body = "no traced prefixes\n";
+      return {200, "text/plain; charset=utf-8", std::move(body), {}};
     }
-#endif
+    const auto prefix = netbase::Prefix::try_parse(prefix_text);
+    if (!prefix.has_value()) {
+      return {400, "text/plain; charset=utf-8",
+              "bad ?prefix=" + prefix_text + "\n", {}};
+    }
+    const std::size_t max_traces = query_uint(target, "max_traces", 8);
+    return {200, "text/plain; charset=utf-8",
+            render_propagation_tree(*prefix, tracer.records_for(*prefix),
+                                    max_traces),
+            {}};
   }
   if (path == "/profile") {
-    if constexpr (!kProfCompiledIn) {
-      return {501, "text/plain; charset=utf-8",
-              "profiler compiled out (ZS_PROF_ENABLED=0)\n", {}};
-    }
     // On-demand CPU profile: sample for ?seconds=N (default 5, cap 60)
     // and reply with the folded-stack text. Blocking the serving thread
     // is acceptable — /profile is an operator action, not a scrape
@@ -729,7 +716,7 @@ std::string HttpServer::index_json() const {
   for (const auto& [path, stream] : endpoints) {
     if (!first) body += ',';
     first = false;
-    body += "{\"path\":\"" + path + "\",\"stream\":" +
+    body += "{\"path\":\"" + netbase::json_escape(path) + "\",\"stream\":" +
             (stream ? "true" : "false") + "}";
   }
   body += "]}\n";

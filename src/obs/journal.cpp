@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "netbase/bytes.hpp"
+#include "netbase/json.hpp"
 
 namespace zombiescope::obs {
 
@@ -163,76 +164,45 @@ std::string to_ndjson(const JournalEvent& event) {
   return out;
 }
 
-namespace {
-
-// The journal controls its own serialization, so field extraction can
-// scan for `"key":` directly: no journal value ever contains a quote,
-// which is the only character that could fool the scan.
-std::optional<std::string_view> json_field(std::string_view line,
-                                           std::string_view key) {
-  std::string pattern;
-  pattern.reserve(key.size() + 3);
-  pattern += '"';
-  pattern += key;
-  pattern += "\":";
-  const std::size_t at = line.find(pattern);
-  if (at == std::string_view::npos) return std::nullopt;
-  std::string_view rest = line.substr(at + pattern.size());
-  if (rest.empty()) return std::nullopt;
-  if (rest.front() == '"') {
-    rest.remove_prefix(1);
-    const std::size_t end = rest.find('"');
-    if (end == std::string_view::npos) return std::nullopt;
-    return rest.substr(0, end);
-  }
-  std::size_t end = 0;
-  while (end < rest.size() && rest[end] != ',' && rest[end] != '}') ++end;
-  return rest.substr(0, end);
-}
-
-std::optional<std::int64_t> json_int(std::string_view line,
-                                     std::string_view key) {
-  const auto field = json_field(line, key);
-  if (!field.has_value() || field->empty()) return std::nullopt;
-  const std::string text(*field);
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return std::nullopt;
-  return static_cast<std::int64_t>(value);
-}
-
-}  // namespace
-
 std::optional<JournalEvent> parse_ndjson(std::string_view line) {
-  const auto name = json_field(line, "ev");
-  if (!name.has_value()) return std::nullopt;
-  const auto type = parse_event_type(*name);
+  const std::optional<netbase::JsonValue> doc = netbase::parse_json(line);
+  if (!doc.has_value()) return std::nullopt;
+  const netbase::JsonValue* name = doc->find("ev");
+  if (name == nullptr || !name->is_string()) return std::nullopt;
+  const auto type = parse_event_type(name->str);
   if (!type.has_value()) return std::nullopt;
+  const auto integer = [&doc](std::string_view key) -> std::optional<std::int64_t> {
+    const netbase::JsonValue* v = doc->find(key);
+    if (v == nullptr) return std::nullopt;
+    return v->integer();
+  };
 
   JournalEvent event;
   event.type = *type;
-  const auto time = json_int(line, "t");
+  const auto time = integer("t");
   if (!time.has_value()) return std::nullopt;
   event.time = *time;
 
-  if (const auto prefix = json_field(line, "prefix"); prefix.has_value()) {
-    const auto parsed = netbase::Prefix::try_parse(*prefix);
+  if (const netbase::JsonValue* prefix = doc->find("prefix")) {
+    if (!prefix->is_string()) return std::nullopt;
+    const auto parsed = netbase::Prefix::try_parse(prefix->str);
     if (!parsed.has_value()) return std::nullopt;
     event.has_prefix = true;
     event.prefix = *parsed;
   }
-  if (const auto peer = json_field(line, "peer"); peer.has_value()) {
-    const auto parsed = netbase::IpAddress::try_parse(*peer);
+  if (const netbase::JsonValue* peer = doc->find("peer")) {
+    if (!peer->is_string()) return std::nullopt;
+    const auto parsed = netbase::IpAddress::try_parse(peer->str);
     if (!parsed.has_value()) return std::nullopt;
     event.has_peer = true;
     event.peer_address = *parsed;
-    const auto asn = json_int(line, "peer_asn");
+    const auto asn = integer("peer_asn");
     if (!asn.has_value() || *asn < 0) return std::nullopt;
     event.peer_asn = static_cast<std::uint32_t>(*asn);
   }
-  event.a = json_int(line, "a").value_or(0);
-  event.b = json_int(line, "b").value_or(0);
-  event.c = json_int(line, "c").value_or(0);
+  event.a = integer("a").value_or(0);
+  event.b = integer("b").value_or(0);
+  event.c = integer("c").value_or(0);
   return event;
 }
 

@@ -23,10 +23,9 @@
 //    endpoint can share it) moves events to the attached writer (NDJSON
 //    or a length-prefixed binary format) and a bounded recent-events
 //    buffer;
-//  * categories are filterable at compile time (ZS_JOURNAL_CATEGORIES)
-//    and at run time (set_enabled_categories), so the chatty
-//    message-level layer can be compiled out of a production build
-//    while the detector-decision layer stays.
+//  * categories are filterable at run time (set_enabled_categories),
+//    so the chatty message-level layer can stay off in production
+//    while the detector-decision layer records.
 
 #pragma once
 
@@ -45,13 +44,6 @@
 #include "netbase/ip.hpp"
 #include "netbase/time.hpp"
 #include "obs/metrics.hpp"
-
-/// Categories compiled into the binary. Call sites use the template
-/// emit<Cat>() so a category masked out here costs literally nothing —
-/// the call compiles to an empty function.
-#ifndef ZS_JOURNAL_CATEGORIES
-#define ZS_JOURNAL_CATEGORIES 0xffffffffu
-#endif
 
 namespace zombiescope::obs {
 
@@ -236,16 +228,11 @@ class Journal {
     return (mask_.load(std::memory_order_relaxed) & categories) != 0;
   }
 
-  /// Records an event under category `Cat`. Compiled out entirely when
-  /// the category is masked by ZS_JOURNAL_CATEGORIES; otherwise a
-  /// runtime mask check plus a lock-free ring enqueue.
+  /// Records an event under category `Cat`: a runtime mask check plus
+  /// a lock-free ring enqueue.
   template <std::uint32_t Cat>
   void emit(const JournalEvent& event) {
-    if constexpr ((Cat & ZS_JOURNAL_CATEGORIES) == 0u) {
-      (void)event;
-    } else {
-      emit_runtime(Cat, event);
-    }
+    emit_runtime(Cat, event);
   }
   void emit_runtime(std::uint32_t category, const JournalEvent& event);
 

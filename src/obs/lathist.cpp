@@ -1,11 +1,11 @@
 #include "obs/lathist.hpp"
 
-#if ZS_LATHIST_ENABLED
-
 #include <algorithm>
 #include <map>
 #include <mutex>
 #include <sstream>
+
+#include "netbase/json.hpp"
 
 namespace zombiescope::obs {
 
@@ -182,7 +182,9 @@ std::string LatRegistry::to_json() const {
     if (snap.empty()) continue;
     if (!first) out += ",";
     first = false;
-    out += "\"" + name + "\":" + snap.to_json();
+    out += '"';
+    netbase::append_json_escaped(out, name);
+    out += "\":" + snap.to_json();
   }
   out += "}";
   return out;
@@ -213,5 +215,3 @@ void LatRegistry::reset_all() {
 }
 
 }  // namespace zombiescope::obs
-
-#endif  // ZS_LATHIST_ENABLED

@@ -1,68 +1,31 @@
 #include "obs/prof.hpp"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
-#if ZS_PROF_ENABLED
-#include <cxxabi.h>
-#include <dlfcn.h>
 #include <errno.h>
 #include <pthread.h>
 #include <signal.h>
 #include <time.h>
 #include <ucontext.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
 #include <condition_variable>
-#include <map>
-#include <memory>
+#include <cstdio>
+#include <functional>
 #include <mutex>
+#include <stop_token>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
-#include <vector>
-#endif
 
-// The SIGPROF handler and the frame-pointer walk must not be
-// instrumented: sanitizer runtimes are not async-signal-safe, and the
-// walk deliberately reads raw stack memory (bounds-checked against the
-// thread's stack segment, but inside ASan redzones).
-#if defined(__GNUC__) || defined(__clang__)
-#define ZS_PROF_NO_SANITIZE \
-  __attribute__((no_sanitize("address", "thread", "undefined")))
-#else
-#define ZS_PROF_NO_SANITIZE
-#endif
+#include "netbase/json.hpp"
+#include "obs/stacksample.hpp"
 
 namespace zombiescope::obs {
 
-namespace {
+using netbase::json_escape;
 
-std::string prof_json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace {
 
 std::string format_share(double v) {
   char buf[32];
@@ -73,7 +36,7 @@ std::string format_share(double v) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Report rendering (pure data; compiled in both ZS_PROF_ENABLED modes).
+// Report rendering.
 
 std::string ProfileReport::to_folded() const {
   std::string out;
@@ -166,7 +129,7 @@ std::string ProfileReport::to_json(std::size_t top_n) const {
     const double share =
         samples == 0 ? 0.0
                      : static_cast<double>(count) / static_cast<double>(samples);
-    out += "\"" + prof_json_escape(name) + "\": {\"samples\": " +
+    out += "\"" + json_escape(name) + "\": {\"samples\": " +
            std::to_string(count) + ", \"share\": " + format_share(share) + "}";
   }
   out += "}, \"top_frames\": [";
@@ -175,7 +138,7 @@ std::string ProfileReport::to_json(std::size_t top_n) const {
     if (shown >= top_n) break;
     if (shown != 0) out += ", ";
     ++shown;
-    out += "{\"symbol\": \"" + prof_json_escape(frame.symbol) +
+    out += "{\"symbol\": \"" + json_escape(frame.symbol) +
            "\", \"self\": " + std::to_string(frame.self) +
            ", \"total\": " + std::to_string(frame.total) + "}";
   }
@@ -183,110 +146,28 @@ std::string ProfileReport::to_json(std::size_t top_n) const {
   return out;
 }
 
-#if ZS_PROF_ENABLED
-
 // ---------------------------------------------------------------------------
-// Thread state and the signal handler.
+// The signal handler: pc/fp from the interrupted context, then the
+// shared span copy and frame walk into the thread's kCpu ring.
 
 namespace {
 
-constexpr std::size_t kMaxFrames = 48;
-constexpr std::size_t kMaxSpanDepth = 16;
+namespace ss = stacksample;
 
-/// One captured sample: raw pcs + the active span-name stack, both
-/// trivially copyable so the ring moves plain bytes.
-struct RawSample {
-  std::uint32_t n_pcs = 0;
-  std::uint32_t n_spans = 0;
-  std::uintptr_t pcs[kMaxFrames];
-  const char* spans[kMaxSpanDepth];
-};
+std::atomic<bool> g_active{false};
+std::atomic<std::uint64_t> g_lost{0};  // full ring or unregistered thread
 
-/// SPSC ring: producer is the SIGPROF handler running on the owner
-/// thread, consumer is the drain thread (or stop()).
-struct SampleRing {
-  explicit SampleRing(std::size_t capacity) {
-    std::size_t cap = 64;
-    while (cap < capacity) cap <<= 1;
-    slots = std::make_unique<RawSample[]>(cap);
-    mask = cap - 1;
+ZS_NO_SANITIZE
+void sigprof_handler(int, siginfo_t*, void* context) {
+  const int saved_errno = errno;
+  ss::ThreadState* ts = ss::current();
+  ss::Ring* ring = ts == nullptr ? nullptr : ss::ring(*ts, ss::kCpu);
+  ss::Sample* sample = ring == nullptr ? nullptr : ring->claim();
+  if (sample == nullptr) {
+    g_lost.fetch_add(1, std::memory_order_relaxed);
+    errno = saved_errno;
+    return;
   }
-  std::unique_ptr<RawSample[]> slots;
-  std::size_t mask = 0;
-  alignas(64) std::atomic<std::uint64_t> head{0};
-  alignas(64) std::atomic<std::uint64_t> tail{0};
-};
-
-struct ThreadState {
-  std::atomic<SampleRing*> ring{nullptr};
-  // Active-span stack, maintained by prof_push_span/prof_pop_span on
-  // the owner thread and read by the SIGPROF handler on the same
-  // thread — signal fences order the two, no cross-thread access.
-  const char* span_stack[kMaxSpanDepth] = {};
-  std::atomic<std::uint32_t> span_depth{0};
-  // Stack segment bounds for the frame-pointer walk.
-  std::uintptr_t stack_lo = 0;
-  std::uintptr_t stack_hi = 0;
-};
-
-// Every thread that ever registered. Entries (and their rings) are
-// never freed: the handler may fire concurrently with a thread
-// exiting, so reclamation would race; the leak is a few KB per thread
-// that ever profiled.
-std::mutex g_threads_mutex;
-std::vector<ThreadState*>& thread_registry() {
-  static auto* v = new std::vector<ThreadState*>();
-  return *v;
-}
-
-thread_local ThreadState* t_state = nullptr;
-
-std::atomic<bool> g_attribution_active{false};
-std::atomic<std::uint64_t> g_lost{0};      // full ring or unregistered thread
-std::atomic<std::uint64_t> g_captured{0};  // samples enqueued
-std::size_t g_ring_capacity = 4096;        // active session's option
-
-void thread_stack_bounds(std::uintptr_t& lo, std::uintptr_t& hi) {
-  lo = 0;
-  hi = 0;
-  pthread_attr_t attr;
-  if (pthread_getattr_np(pthread_self(), &attr) != 0) return;
-  void* addr = nullptr;
-  std::size_t size = 0;
-  if (pthread_attr_getstack(&attr, &addr, &size) == 0) {
-    lo = reinterpret_cast<std::uintptr_t>(addr);
-    hi = lo + size;
-  }
-  pthread_attr_destroy(&attr);
-}
-
-ThreadState* ensure_thread_state() {
-  ThreadState* ts = t_state;
-  if (ts != nullptr) return ts;
-  ts = new ThreadState();
-  thread_stack_bounds(ts->stack_lo, ts->stack_hi);
-  {
-    std::lock_guard lock(g_threads_mutex);
-    thread_registry().push_back(ts);
-    if (g_attribution_active.load(std::memory_order_relaxed))
-      ts->ring.store(new SampleRing(g_ring_capacity), std::memory_order_release);
-  }
-  t_state = ts;
-  return ts;
-}
-
-/// Interned span names live forever, so a drained sample's name
-/// pointer is valid long after the span (and its std::string) died.
-const char* intern_name(std::string_view name) {
-  static std::mutex mutex;
-  static auto* names = new std::unordered_set<std::string>();
-  std::lock_guard lock(mutex);
-  return names->emplace(name).first->c_str();
-}
-
-ZS_PROF_NO_SANITIZE
-std::uint32_t capture_stack(void* context, const ThreadState* ts,
-                            std::uintptr_t* pcs) {
   std::uintptr_t pc = 0;
   std::uintptr_t fp = 0;
 #if defined(__x86_64__)
@@ -300,63 +181,17 @@ std::uint32_t capture_stack(void* context, const ThreadState* ts,
 #else
   (void)context;
 #endif
+  sample->weight = 1;
+  sample->n_spans = ss::copy_spans(*ts, sample->spans);
   std::uint32_t n = 0;
-  if (pc != 0) pcs[n++] = pc;
-  // Frame-pointer chain walk. Every candidate frame must lie inside
-  // the thread's stack segment, be pointer-aligned, and move strictly
-  // upward — a corrupt chain terminates the walk, it cannot fault.
-  const std::uintptr_t lo = ts->stack_lo;
-  const std::uintptr_t hi = ts->stack_hi;
-  while (n < kMaxFrames && fp >= lo && hi >= 2 * sizeof(std::uintptr_t) &&
-         fp <= hi - 2 * sizeof(std::uintptr_t) &&
-         (fp & (sizeof(std::uintptr_t) - 1)) == 0) {
-    const auto* frame = reinterpret_cast<const std::uintptr_t*>(fp);
-    const std::uintptr_t ret = frame[1];
-    const std::uintptr_t next = frame[0];
-    if (ret < 0x1000) break;  // not a plausible return address
-    pcs[n++] = ret;
-    if (next <= fp) break;  // frames must move up the stack
-    fp = next;
-  }
-  return n;
-}
-
-ZS_PROF_NO_SANITIZE
-void sigprof_handler(int, siginfo_t*, void* context) {
-  const int saved_errno = errno;
-  ThreadState* ts = t_state;
-  SampleRing* ring =
-      ts == nullptr ? nullptr : ts->ring.load(std::memory_order_acquire);
-  if (ring == nullptr) {
-    g_lost.fetch_add(1, std::memory_order_relaxed);
-    errno = saved_errno;
-    return;
-  }
-  const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
-  const std::uint64_t tail = ring->tail.load(std::memory_order_acquire);
-  if (head - tail > ring->mask) {  // full: drop, never wait
-    g_lost.fetch_add(1, std::memory_order_relaxed);
-    errno = saved_errno;
-    return;
-  }
-  RawSample& sample = ring->slots[head & ring->mask];
-  std::uint32_t depth = ts->span_depth.load(std::memory_order_relaxed);
-  std::atomic_signal_fence(std::memory_order_acquire);
-  if (depth > kMaxSpanDepth) depth = kMaxSpanDepth;
-  for (std::uint32_t i = 0; i < depth; ++i) sample.spans[i] = ts->span_stack[i];
-  sample.n_spans = depth;
-  sample.n_pcs = capture_stack(context, ts, sample.pcs);
-  ring->head.store(head + 1, std::memory_order_release);
-  g_captured.fetch_add(1, std::memory_order_relaxed);
+  if (pc != 0) sample->pcs[n++] = pc;
+  sample->n_pcs = ss::walk(fp, *ts, sample->pcs, n);
+  ring->publish();
   errno = saved_errno;
 }
 
 // ---------------------------------------------------------------------------
-// The consumer side: aggregation, symbolization, session control.
-
-/// Aggregation key: n_spans, span pointers (root first), pcs (leaf
-/// first) — cheap to build from a RawSample, folds identical stacks.
-using StackKey = std::vector<std::uintptr_t>;
+// The consumer side: the drain thread and session control.
 
 struct Session {
   bool running = false;
@@ -364,11 +199,8 @@ struct Session {
   std::chrono::steady_clock::time_point started_at;
   timer_t timer{};
   bool timer_valid = false;
-  std::thread drain_thread;
-  std::mutex drain_mutex;
-  std::condition_variable drain_cv;
-  bool drain_stop = false;
-  std::map<StackKey, std::uint64_t> aggregate;
+  ss::Aggregate aggregate;  // the drain thread's until it is joined
+  std::jthread drain_thread;
 };
 
 std::mutex g_control_mutex;  // serializes start()/stop()
@@ -377,81 +209,20 @@ Session& session() {
   return *s;
 }
 
-void drain_ring(ThreadState* ts, std::map<StackKey, std::uint64_t>& aggregate) {
-  SampleRing* ring = ts->ring.load(std::memory_order_acquire);
-  if (ring == nullptr) return;
-  std::uint64_t tail = ring->tail.load(std::memory_order_relaxed);
-  const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-  StackKey key;
-  while (tail != head) {
-    const RawSample& sample = ring->slots[tail & ring->mask];
-    key.clear();
-    key.reserve(1 + sample.n_spans + sample.n_pcs);
-    key.push_back(sample.n_spans);
-    for (std::uint32_t i = 0; i < sample.n_spans; ++i)
-      key.push_back(reinterpret_cast<std::uintptr_t>(sample.spans[i]));
-    for (std::uint32_t i = 0; i < sample.n_pcs; ++i) key.push_back(sample.pcs[i]);
-    ++aggregate[key];
-    ++tail;
-    ring->tail.store(tail, std::memory_order_release);
-  }
-}
-
-void drain_all(std::map<StackKey, std::uint64_t>& aggregate) {
-  std::vector<ThreadState*> threads;
-  {
-    std::lock_guard lock(g_threads_mutex);
-    threads = thread_registry();
-  }
-  for (ThreadState* ts : threads) drain_ring(ts, aggregate);
-}
-
-void drain_loop() {
+void drain_loop(std::stop_token stop, ss::Aggregate& aggregate) {
   // The drain thread must never receive SIGPROF itself: its samples
   // would always be unattributable profiler overhead.
   sigset_t mask;
   sigemptyset(&mask);
   sigaddset(&mask, SIGPROF);
   pthread_sigmask(SIG_BLOCK, &mask, nullptr);
-  Session& s = session();
-  std::unique_lock lock(s.drain_mutex);
-  while (!s.drain_stop) {
-    s.drain_cv.wait_for(lock, std::chrono::milliseconds(100));
-    drain_all(s.aggregate);
+  std::mutex mutex;
+  std::condition_variable_any wake;  // woken only by a stop request
+  std::unique_lock lock(mutex);
+  while (!stop.stop_requested()) {
+    wake.wait_for(lock, stop, std::chrono::milliseconds(100), [] { return false; });
+    ss::drain(ss::kCpu, aggregate);
   }
-}
-
-std::string symbolize(std::uintptr_t pc,
-                      std::unordered_map<std::uintptr_t, std::string>& cache) {
-  const auto it = cache.find(pc);
-  if (it != cache.end()) return it->second;
-  std::string name;
-  Dl_info info{};
-  if (dladdr(reinterpret_cast<void*>(pc), &info) != 0 &&
-      info.dli_sname != nullptr) {
-    int status = 1;
-    char* demangled = abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
-    name = (status == 0 && demangled != nullptr) ? demangled : info.dli_sname;
-    std::free(demangled);
-  } else {
-    // No symbol (static function, stripped object): module+offset,
-    // resolvable offline with addr2line.
-    const char* module = info.dli_fname != nullptr ? info.dli_fname : "?";
-    if (const char* slash = std::strrchr(module, '/'); slash != nullptr)
-      module = slash + 1;
-    const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(info.dli_fbase);
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), "%s+0x%" PRIxPTR, module,
-                  base != 0 && pc >= base ? pc - base : pc);
-    name = buf;
-  }
-  // Frames are joined with ';' in folded output; scrub the separator.
-  for (char& c : name) {
-    if (c == ';') c = ':';
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  cache.emplace(pc, name);
-  return name;
 }
 
 ProfileReport build_report(const Session& s, std::uint64_t dropped) {
@@ -463,43 +234,19 @@ ProfileReport build_report(const Session& s, std::uint64_t dropped) {
           .count();
   report.dropped = dropped;
 
-  std::unordered_map<std::uintptr_t, std::string> symbol_cache;
   std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> frames;
-  for (const auto& [key, count] : s.aggregate) {
+  for (const ss::Stack& stack : ss::symbolize(s.aggregate)) {
+    const std::uint64_t count = stack.weight.count;
     report.samples += count;
-    const std::size_t n_spans = static_cast<std::size_t>(key[0]);
-    const std::size_t n_pcs = key.size() - 1 - n_spans;
-
     // Phase attribution: the innermost active span.
-    std::string phase = "(no span)";
-    if (n_spans > 0) {
-      const char* innermost = reinterpret_cast<const char*>(key[n_spans]);
-      phase = innermost;
-    }
-    report.phase_samples[phase] += count;
-
-    // Folded stack: spans root-first, then frames root-first (pcs are
-    // captured leaf-first).
-    std::string stack;
-    for (std::size_t i = 0; i < n_spans; ++i) {
-      if (!stack.empty()) stack += ';';
-      stack += reinterpret_cast<const char*>(key[1 + i]);
-    }
-    std::vector<std::string> symbols(n_pcs);
-    for (std::size_t i = 0; i < n_pcs; ++i)
-      symbols[i] = symbolize(key[1 + n_spans + i], symbol_cache);
-    for (std::size_t i = n_pcs; i-- > 0;) {
-      if (!stack.empty()) stack += ';';
-      stack += symbols[i];
-    }
-    if (stack.empty()) stack = "(unknown)";
-    report.folded[stack] += count;
-
+    report.phase_samples[stack.spans.empty() ? "(no span)" : stack.spans.back()] +=
+        count;
+    report.folded[stack.folded()] += count;
     // Self/total accounting per symbol (total counts a stack once even
     // if the symbol recurses).
-    if (n_pcs > 0) frames[symbols[0]].first += count;
+    if (!stack.frames.empty()) frames[stack.frames[0]].first += count;
     std::unordered_set<std::string_view> seen;
-    for (const auto& symbol : symbols) {
+    for (const std::string& symbol : stack.frames) {
       if (seen.insert(symbol).second) frames[symbol].second += count;
     }
   }
@@ -517,44 +264,12 @@ ProfileReport build_report(const Session& s, std::uint64_t dropped) {
 
 }  // namespace
 
-bool prof_attribution_active() noexcept {
-  return g_attribution_active.load(std::memory_order_relaxed);
-}
-
-const char* prof_intern(std::string_view name) { return intern_name(name); }
-
-void prof_push_span(const char* interned_name) noexcept {
-  ThreadState* ts = ensure_thread_state();
-  const std::uint32_t depth = ts->span_depth.load(std::memory_order_relaxed);
-  if (depth < kMaxSpanDepth) ts->span_stack[depth] = interned_name;
-  // The name store must be visible before the depth covers it; a
-  // signal fence suffices because the reader is a handler on this
-  // same thread.
-  std::atomic_signal_fence(std::memory_order_release);
-  ts->span_depth.store(depth + 1, std::memory_order_relaxed);
-}
-
-void prof_pop_span() noexcept {
-  ThreadState* ts = t_state;
-  if (ts == nullptr) return;
-  const std::uint32_t depth = ts->span_depth.load(std::memory_order_relaxed);
-  if (depth > 0) ts->span_depth.store(depth - 1, std::memory_order_relaxed);
-}
-
-void prof_register_thread() noexcept { ensure_thread_state(); }
-
 Profiler& Profiler::global() {
   static auto* profiler = new Profiler();
   return *profiler;
 }
 
-bool Profiler::running() const {
-  return g_attribution_active.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Profiler::samples_captured() const {
-  return g_captured.load(std::memory_order_relaxed);
-}
+bool Profiler::running() const { return g_active.load(std::memory_order_relaxed); }
 
 bool Profiler::start(const ProfilerOptions& options) {
   std::lock_guard control(g_control_mutex);
@@ -563,48 +278,34 @@ bool Profiler::start(const ProfilerOptions& options) {
 
   s.options = options;
   s.aggregate.clear();
-  s.drain_stop = false;
   g_lost.store(0, std::memory_order_relaxed);
-  g_captured.store(0, std::memory_order_relaxed);
 
-  // Register the calling thread, give every known thread a ring, and
-  // discard any straggler samples from a previous session.
-  ensure_thread_state();
-  {
-    std::lock_guard lock(g_threads_mutex);
-    g_ring_capacity = options.ring_capacity;
-    for (ThreadState* ts : thread_registry()) {
-      SampleRing* ring = ts->ring.load(std::memory_order_relaxed);
-      if (ring == nullptr) {
-        ts->ring.store(new SampleRing(g_ring_capacity), std::memory_order_release);
-      } else {
-        ring->tail.store(ring->head.load(std::memory_order_acquire),
-                         std::memory_order_release);
-      }
-    }
-  }
+  // Register the calling thread, then give every known thread an empty
+  // ring (discarding a previous session's stragglers).
+  ss::thread_state();
+  ss::arm(ss::kCpu, options.ring_capacity);
 
   struct sigaction action {};
   action.sa_sigaction = &sigprof_handler;
   action.sa_flags = SA_SIGINFO | SA_RESTART;
   sigemptyset(&action.sa_mask);
-  if (sigaction(SIGPROF, &action, nullptr) != 0) return false;
-
   // A CPU-time clock: an idle process generates no samples, which is
   // exactly right for "where did the CPU go". Fall back to the
   // monotonic clock (wall-time sampling) where unsupported.
   sigevent sev{};
   sev.sigev_notify = SIGEV_SIGNAL;
   sev.sigev_signo = SIGPROF;
-  if (timer_create(CLOCK_PROCESS_CPUTIME_ID, &sev, &s.timer) != 0 &&
-      timer_create(CLOCK_MONOTONIC, &sev, &s.timer) != 0) {
+  if (sigaction(SIGPROF, &action, nullptr) != 0 ||
+      (timer_create(CLOCK_PROCESS_CPUTIME_ID, &sev, &s.timer) != 0 &&
+       timer_create(CLOCK_MONOTONIC, &sev, &s.timer) != 0)) {
+    ss::disarm(ss::kCpu);
     return false;
   }
   s.timer_valid = true;
 
-  g_attribution_active.store(true, std::memory_order_relaxed);
+  g_active.store(true, std::memory_order_relaxed);
   s.started_at = std::chrono::steady_clock::now();
-  s.drain_thread = std::thread(drain_loop);
+  s.drain_thread = std::jthread(drain_loop, std::ref(s.aggregate));
 
   const long period_ns = 1'000'000'000L / options.rate_hz;
   itimerspec spec{};
@@ -612,15 +313,11 @@ bool Profiler::start(const ProfilerOptions& options) {
   spec.it_interval.tv_nsec = period_ns % 1'000'000'000L;
   spec.it_value = spec.it_interval;
   if (timer_settime(s.timer, 0, &spec, nullptr) != 0) {
-    g_attribution_active.store(false, std::memory_order_relaxed);
+    g_active.store(false, std::memory_order_relaxed);
     timer_delete(s.timer);
     s.timer_valid = false;
-    {
-      std::lock_guard lock(s.drain_mutex);
-      s.drain_stop = true;
-    }
-    s.drain_cv.notify_all();
-    s.drain_thread.join();
+    s.drain_thread = {};  // requests stop and joins
+    ss::disarm(ss::kCpu);
     return false;
   }
   s.running = true;
@@ -639,14 +336,10 @@ ProfileReport Profiler::stop() {
     timer_delete(s.timer);
     s.timer_valid = false;
   }
-  g_attribution_active.store(false, std::memory_order_relaxed);
-  {
-    std::lock_guard lock(s.drain_mutex);
-    s.drain_stop = true;
-  }
-  s.drain_cv.notify_all();
-  if (s.drain_thread.joinable()) s.drain_thread.join();
-  drain_all(s.aggregate);
+  g_active.store(false, std::memory_order_relaxed);
+  s.drain_thread = {};  // requests stop and joins
+  ss::drain(ss::kCpu, s.aggregate);
+  ss::disarm(ss::kCpu);
 
   ProfileReport report = build_report(s, g_lost.load(std::memory_order_relaxed));
   s.aggregate.clear();
@@ -654,29 +347,9 @@ ProfileReport Profiler::stop() {
   return report;
 }
 
-#else  // !ZS_PROF_ENABLED — every entry point is an inert stub.
-
-Profiler& Profiler::global() {
-  static auto* profiler = new Profiler();
-  return *profiler;
-}
-
-bool Profiler::start(const ProfilerOptions&) { return false; }
-ProfileReport Profiler::stop() { return {}; }
-bool Profiler::running() const { return false; }
-std::uint64_t Profiler::samples_captured() const { return 0; }
-
-#endif  // ZS_PROF_ENABLED
-
 ScopedProfileSession::ScopedProfileSession(std::string path)
     : path_(std::move(path)) {
   if (path_.empty()) return;
-  if constexpr (!kProfCompiledIn) {
-    std::fprintf(stderr,
-                 "--profile-out ignored: profiler compiled out "
-                 "(ZS_PROF_ENABLED=0)\n");
-    return;
-  }
   active_ = Profiler::global().start();
   if (!active_)
     std::fprintf(stderr, "--profile-out ignored: cannot start profiler "

@@ -8,7 +8,7 @@
 // sample is *phase-attributed*: output stacks read
 // `scenario:longlived2024;detector:interval;trie_lookup`, not just raw
 // function frames. A background drain thread aggregates the rings;
-// stop() symbolizes (dladdr + demangling, in normal context) and
+// stop() symbolizes (dynamic symbols + demangling, in normal context) and
 // returns a ProfileReport that renders as
 //
 //   * folded-stack text (flamegraph.pl / speedscope ready),
@@ -16,14 +16,15 @@
 //   * the `profile` JSON section of the BENCH_*.json snapshots
 //     (per-phase CPU shares + top frames).
 //
-// Signal-safety rules (see DESIGN.md §7): the handler touches only
-// pre-registered thread state — no allocation, no locks, no dladdr; a
-// thread with no registered state loses the sample to a counter. The
-// frame-pointer walk is bounds-checked against the thread's stack
-// segment so a corrupt chain can never fault. Builds default to
-// -fno-omit-frame-pointer (ZS_PROF cmake option) so the walk sees real
-// frames; compiling with ZS_PROF_ENABLED=0 removes every hook — like
-// ZS_JOURNAL_CATEGORIES, disabled means zero code executed.
+// The thread registry, span stack, frame walk, sample rings and the
+// symbolizer are the stack-sampling core zsheap shares
+// (obs/stacksample.hpp); this file keeps the timer, the handler and
+// the drain thread. Signal-safety rules (see DESIGN.md §7): the handler
+// touches only pre-registered thread state — no allocation, no locks,
+// no symbol lookup; a thread with no registered state loses the sample to a
+// counter. Builds keep frame pointers (-fno-omit-frame-pointer) so the
+// walk sees real frames. No session, no cost beyond a span's one
+// relaxed load.
 
 #pragma once
 
@@ -33,16 +34,7 @@
 #include <string_view>
 #include <vector>
 
-#ifndef ZS_PROF_ENABLED
-#define ZS_PROF_ENABLED 1
-#endif
-
 namespace zombiescope::obs {
-
-/// True when the profiler hooks are compiled in. Call sites guard with
-/// `if constexpr (kProfCompiledIn)` so a ZS_PROF_ENABLED=0 build
-/// executes exactly zero profiler code.
-inline constexpr bool kProfCompiledIn = ZS_PROF_ENABLED != 0;
 
 struct ProfilerOptions {
   /// Samples per second of *process CPU time* (idle costs nothing).
@@ -60,7 +52,7 @@ struct ProfiledFrame {
 
 /// Aggregated result of one profiling session.
 struct ProfileReport {
-  bool valid = false;  // false: profiler never ran (or compiled out)
+  bool valid = false;  // false: profiler never ran
   int rate_hz = 0;
   double duration_s = 0.0;  // wall time between start() and stop()
   std::uint64_t samples = 0;
@@ -96,8 +88,7 @@ class Profiler {
   static Profiler& global();
 
   /// Installs the SIGPROF handler and arms the CPU-time timer.
-  /// Returns false if already running, compiled out, or the timer
-  /// cannot be created.
+  /// Returns false if already running or the timer cannot be created.
   bool start(const ProfilerOptions& options = {});
 
   /// Disarms the timer, drains every ring, symbolizes, and returns the
@@ -105,18 +96,15 @@ class Profiler {
   ProfileReport stop();
 
   bool running() const;
-  /// Samples captured so far in the active session (approximate).
-  std::uint64_t samples_captured() const;
 
  private:
   Profiler() = default;
 };
 
 /// The --profile-out CLI helper: starts a global profiling session on
-/// construction (when `path` is non-empty and the profiler is
-/// available), and on destruction stops it, writes the folded stacks
-/// to `path`, and prints the top-frames summary to stderr. Does
-/// nothing at all for an empty path.
+/// construction (when `path` is non-empty), and on destruction stops
+/// it, writes the folded stacks to `path`, and prints the top-frames
+/// summary to stderr. Does nothing at all for an empty path.
 class ScopedProfileSession {
  public:
   explicit ScopedProfileSession(std::string path);
@@ -130,32 +118,5 @@ class ScopedProfileSession {
   std::string path_;
   bool active_ = false;
 };
-
-// --- span-attribution hooks (used by obs/trace.cpp) -----------------
-//
-// ScopedSpan pushes its interned name while the profiler is active so
-// the SIGPROF handler can read the span stack signal-safely. All of
-// this is a no-op when no profiler runs, and compiles away entirely
-// when ZS_PROF_ENABLED=0 (call sites guard with kProfCompiledIn).
-
-#if ZS_PROF_ENABLED
-/// One relaxed atomic load: should spans register with the profiler?
-bool prof_attribution_active() noexcept;
-/// Returns a pointer that stays valid forever (names are interned).
-const char* prof_intern(std::string_view name);
-/// Pushes/pops the calling thread's active-span stack.
-void prof_push_span(const char* interned_name) noexcept;
-void prof_pop_span() noexcept;
-/// Puts the calling thread in the profiler's thread registry so a
-/// session started later (e.g. via GET /profile mid-run) can sample
-/// it. After the first call per thread this is one thread_local read.
-void prof_register_thread() noexcept;
-#else
-inline bool prof_attribution_active() noexcept { return false; }
-inline const char* prof_intern(std::string_view) { return nullptr; }
-inline void prof_push_span(const char*) noexcept {}
-inline void prof_pop_span() noexcept {}
-inline void prof_register_thread() noexcept {}
-#endif
 
 }  // namespace zombiescope::obs

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "obs/heap.hpp"
-#include "obs/prof.hpp"
+#include "obs/stacksample.hpp"
 
 namespace zombiescope::obs {
 
@@ -99,40 +98,25 @@ ScopedSpan::ScopedSpan(std::string_view name, Tracer& tracer) {
   id_ = tracer.next_id_.fetch_add(1, std::memory_order_relaxed);
   parent_ = t_current_span;
   t_current_span = id_;
-  // While a zsprof session runs, publish this span on the thread's
-  // signal-readable span stack so samples are phase-attributed.
-  // Compiles to nothing when the profiler is built out, and costs one
-  // relaxed load plus one thread_local read when no session is active.
-  // Registration is unconditional so a session started mid-run (GET
-  // /profile) can sample threads that are already inside their spans —
-  // those samples are frame-attributed but span-less until the thread
-  // opens its next span.
-  if constexpr (kProfCompiledIn) {
-    prof_register_thread();
-    if (prof_attribution_active()) {
-      prof_push_span(prof_intern(name_));
-      prof_pushed_ = true;
-    }
-  }
-  // Same deal for zsheap: while an allocation-profiling session runs,
-  // publish this span so the allocator hook can credit bytes to it.
-  if constexpr (kHeapCompiledIn) {
-    if (heap_attribution_active()) {
-      heap_push_span(heap_intern(name_));
-      heap_pushed_ = true;
-    }
+  // While a zsprof or zsheap session runs, publish this span on the
+  // thread's signal-readable span stack, so CPU samples are
+  // phase-attributed and the allocator hook can credit bytes to it.
+  // With no session this costs one thread_local read and one relaxed
+  // load. Registration is unconditional so a session started mid-run
+  // (GET /profile) can sample threads that are already inside their
+  // spans — those samples are frame-attributed but span-less until the
+  // thread opens its next span.
+  if (stacksample::ThreadState* ts = stacksample::thread_state();
+      ts != nullptr && stacksample::spans_wanted()) {
+    stacksample::push_span(*ts, stacksample::intern(name_));
+    sampled_ = true;
   }
   start_ns_ = tracer.now_ns();
 }
 
 ScopedSpan::~ScopedSpan() {
   if (tracer_ == nullptr) return;
-  if constexpr (kProfCompiledIn) {
-    if (prof_pushed_) prof_pop_span();
-  }
-  if constexpr (kHeapCompiledIn) {
-    if (heap_pushed_) heap_pop_span();
-  }
+  if (sampled_) stacksample::pop_span();
   SpanRecord record;
   record.id = id_;
   record.parent = parent_;

@@ -109,11 +109,9 @@ class ScopedSpan {
   std::uint64_t id_ = 0;
   std::uint64_t parent_ = 0;
   std::int64_t start_ns_ = 0;
-  // True when this span registered itself with the zsprof profiler's
-  // per-thread span stack (only while a profiling session is active).
-  bool prof_pushed_ = false;
-  // Same flag for the zsheap allocation profiler's span stack.
-  bool heap_pushed_ = false;
+  // True when this span is on its thread's sampler span stack (pushed
+  // only while a zsprof or zsheap session is active).
+  bool sampled_ = false;
 };
 
 }  // namespace zombiescope::obs

@@ -7,10 +7,13 @@
 #include <cmath>
 #include <cstdio>
 
+#include "netbase/json.hpp"
 #include "obs/http.hpp"
 #include "obs/journal.hpp"
 
 namespace zombiescope::obs {
+
+using netbase::json_escape;
 
 std::int64_t parse_duration_ms(std::string_view text) {
   if (text.empty()) return 0;
@@ -28,8 +31,6 @@ std::int64_t parse_duration_ms(std::string_view text) {
   if (n > (std::int64_t{1} << 40)) return 0;  // keep n * mult far from overflow
   return n * mult;
 }
-
-#if ZS_TSDB_ENABLED
 
 namespace {
 
@@ -526,8 +527,8 @@ std::string Tsdb::alerts_json() const {
   for (const auto& s : statuses) {
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"" + s.name + "\",\"metric\":\"" + s.metric +
-           "\",\"state\":\"" + state_name(s.state) +
+    out += "{\"name\":\"" + json_escape(s.name) + "\",\"metric\":\"" +
+           json_escape(s.metric) + "\",\"state\":\"" + state_name(s.state) +
            "\",\"value\":" + fmt_double(s.value) +
            ",\"threshold\":" + fmt_double(s.threshold) +
            ",\"for_seconds\":" + fmt_double(s.for_seconds) +
@@ -678,8 +679,8 @@ HttpResponse Tsdb::handle_query(std::string_view target) const {
     return bad(q.error);
   }
 
-  std::string body = "{\"metric\":\"" + metric + "\",\"kind\":\"" +
-                     kind_name(q.kind) + "\",\"agg\":\"" +
+  std::string body = "{\"metric\":\"" + json_escape(metric) +
+                     "\",\"kind\":\"" + kind_name(q.kind) + "\",\"agg\":\"" +
                      (as_rate ? "rate" : "raw") +
                      "\",\"step_seconds\":" + fmt_double(
                          static_cast<double>(q.step_ms) / 1000.0) +
@@ -705,8 +706,8 @@ HttpResponse Tsdb::handle_metrics(std::string_view) const {
   for (const auto& [name, s] : series_) {
     if (!first) body += ',';
     first = false;
-    body += "{\"name\":\"" + name + "\",\"kind\":\"" + kind_name(s->kind) +
-            "\"}";
+    body += "{\"name\":\"" + json_escape(name) + "\",\"kind\":\"" +
+            kind_name(s->kind) + "\"}";
   }
   body += "]}\n";
   return {200, "application/json", std::move(body), ""};
@@ -727,7 +728,5 @@ void Tsdb::attach_http(HttpServer& server) {
     return handle_alerts(target);
   });
 }
-
-#endif  // ZS_TSDB_ENABLED
 
 }  // namespace zombiescope::obs

@@ -131,9 +131,7 @@ FaultScenarioResult run_fault_scenario(const FaultScenarioSpec& spec) {
     }
   }
 
-#if ZS_CAUSAL_ENABLED
   obs::CausalTracer::global().reset();
-#endif
 
   sim.announce(kAnnounceAt, kOriginAsn, result.prefix);
   sim.withdraw(kWithdrawAt, kOriginAsn, result.prefix);
@@ -168,7 +166,6 @@ FaultScenarioResult run_fault_scenario(const FaultScenarioSpec& spec) {
   }
   std::sort(result.expected_zombie_asns.begin(), result.expected_zombie_asns.end());
 
-#if ZS_CAUSAL_ENABLED
   auto& tracer = obs::CausalTracer::global();
   tracer.drain();
   const std::vector<zombie::FrontierResult> frontiers =
@@ -180,7 +177,6 @@ FaultScenarioResult run_fault_scenario(const FaultScenarioSpec& spec) {
         result.frontier.culprits.front().from_asn == result.injected_from &&
         result.frontier.culprits.front().to_asn == result.injected_to;
   }
-#endif
 
   result.rootcause = zombie::infer_root_cause(outbreak);
   result.rootcause_score = score_rootcause(result.rootcause, result.culprit_asn,

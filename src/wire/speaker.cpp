@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "netbase/json.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 
@@ -65,19 +66,6 @@ netbase::IpAddress peer_socket_address(int fd) {
     }
   }
   return netbase::IpAddress::v4(0);
-}
-
-void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out.push_back(c);
-    }
-  }
 }
 
 struct WireMetrics {
@@ -842,10 +830,10 @@ std::string BgpSpeaker::sessions_json() const {
     out += "\",\"bridged\":";
     out += row.bridged ? "true" : "false";
     out += ",\"state\":\"";
-    append_json_escaped(out, row.state);
+    netbase::append_json_escaped(out, row.state);
     out += "\",\"asn\":" + std::to_string(row.peer_asn);
     out += ",\"address\":\"";
-    append_json_escaped(out, row.peer_address);
+    netbase::append_json_escaped(out, row.peer_address);
     out += "\",\"hold\":" + std::to_string(row.negotiated_hold);
     out += ",\"gr\":";
     out += row.gr ? "true" : "false";
@@ -857,7 +845,7 @@ std::string BgpSpeaker::sessions_json() const {
     out += ",\"routes\":" + std::to_string(row.routes);
     out += ",\"stale\":" + std::to_string(row.stale_routes);
     out += ",\"last_event\":\"";
-    append_json_escaped(out, row.last_event);
+    netbase::append_json_escaped(out, row.last_event);
     out += "\"}";
   }
   out += "]}";

@@ -21,8 +21,6 @@
 namespace zombiescope::scenarios {
 namespace {
 
-static_assert(obs::kCausalCompiledIn, "e2e tracing needs the tracer compiled in");
-
 TEST(ObsCausalE2E, SuiteLocalizesEveryInjectedFaultAcrossSeeds) {
   const auto suite = default_fault_suite(5);
   ASSERT_GE(suite.size(), 5u * 2u);  // >= 5 seeds x both fault kinds

@@ -18,8 +18,6 @@
 namespace zombiescope::obs {
 namespace {
 
-static_assert(kCausalCompiledIn, "the main test build carries the tracer");
-
 netbase::Prefix p(const std::string& text) { return netbase::Prefix::parse(text); }
 
 HopRecord make_hop(std::uint64_t trace_id, std::uint32_t from, std::uint32_t to,
@@ -53,6 +51,16 @@ class ObsCausalTracer : public ::testing::Test {
 };
 
 // --- journal codec -----------------------------------------------------------
+
+TEST(ObsCausalContext, ChildAdvancesHopAndKeepsTraceId) {
+  // TraceContext is a plain value type: simnet stamps it on every
+  // delivery, sampled or not.
+  TraceContext ctx{9, 2};
+  EXPECT_TRUE(ctx.sampled());
+  const TraceContext child = ctx.child();
+  EXPECT_EQ(child.trace_id, 9u);
+  EXPECT_EQ(child.hop, 3u);
+}
 
 TEST(ObsCausalCodec, JournalEventRoundTripsEveryKindAndDecision) {
   for (const TraceKind kind : {TraceKind::kAnnouncement, TraceKind::kWithdrawal}) {

@@ -1,9 +1,9 @@
 // Verifies the ZS_HEAP_ENABLED=0 build really compiles the allocation
 // profiler out: this target recompiles heap.cpp (plus the
-// trace/prof/metrics sources trace.cpp drags in) with the macro forced
-// to 0 (see tests/CMakeLists.txt) instead of linking zs_obs. The
-// decisive check is symbol-level: malloc must resolve to libc, not to
-// an interposed definition in this executable.
+// trace/stacksample/prof/metrics sources trace.cpp drags in) with the
+// macro forced to 0 (see tests/CMakeLists.txt) instead of linking
+// zs_obs. The decisive check is symbol-level: malloc must resolve to
+// libc, not to an interposed definition in this executable.
 
 #include <dlfcn.h>
 #include <gtest/gtest.h>
@@ -47,12 +47,10 @@ TEST(ObsHeapCompileOut, EveryEntryPointIsInert) {
 }
 
 TEST(ObsHeapCompileOut, HooksAreInlineNoOps) {
-  EXPECT_FALSE(obs::heap_attribution_active());
-  EXPECT_EQ(obs::heap_intern("anything"), nullptr);
-  // Must not crash; these compile to empty inline functions.
-  obs::heap_push_span(nullptr);
-  obs::heap_pop_span();
+  // Spans reach zsheap only through the stack-sampling core's span
+  // stack; the one heap hook left outside the allocator is inert.
   obs::heap_publish_metrics();
+  EXPECT_FALSE(obs::HeapProfiler::global().running());
 }
 
 TEST(ObsHeapCompileOut, NoInterposedAllocatorSymbols) {
@@ -78,8 +76,8 @@ TEST(ObsHeapCompileOut, NoInterposedAllocatorSymbols) {
 }
 
 TEST(ObsHeapCompileOut, SpansStillWork) {
-  // ScopedSpan guards its heap registration with
-  // `if constexpr (kHeapCompiledIn)`, so tracing is unaffected.
+  // ScopedSpan pushes the span stack zsprof and zsheap share, which
+  // does not depend on the allocator hooks, so tracing is unaffected.
   {
     obs::ScopedSpan outer("heap_compileout.outer");
     obs::ScopedSpan inner("heap_compileout.inner");

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -205,6 +206,35 @@ TEST_F(ObsHttp, UnknownPathIs404AndPostIs405) {
   EXPECT_EQ(http_get(server_.port(), "/metrics", "POST").status, 405);
   EXPECT_EQ(http_get(server_.port(), "/nope", "PUT").status, 405);
   EXPECT_EQ(http_get(server_.port(), "/metrics", "DELETE").status, 405);
+}
+
+TEST_F(ObsHttp, OversizedRequestClosesConnection) {
+  // A request head past the 8 KiB cap is never routed: the server hangs
+  // up without an answer and keeps serving other clients.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string request =
+      "GET /healthz HTTP/1.1\r\nX-Pad: " + std::string(16 * 1024, 'a');
+  for (std::size_t sent = 0; sent < request.size();) {
+    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server may hang up mid-send
+    sent += static_cast<std::size_t>(n);
+  }
+  char buf[256];
+  const ssize_t got = ::recv(fd, buf, sizeof(buf), 0);
+  EXPECT_TRUE(got == 0 || (got < 0 && errno == ECONNRESET))
+      << "expected a hang-up, got " << got << " byte(s)";
+  ::close(fd);
+  EXPECT_EQ(http_get(server_.port(), "/healthz").status, 200);
 }
 
 TEST_F(ObsHttp, IndexListsBuiltinEndpoints) {

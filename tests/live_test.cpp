@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <set>
 #include <string>
@@ -572,6 +573,24 @@ TEST(ObsLiveFeed, RejectsMalformedAndUselessLines) {
   EXPECT_FALSE(parse_ris_live_line(
                    R"({"timestamp":1,"type":"UPDATE","withdrawals":["10.0.0.0/8"]})")
                    .has_value());
+  // Numbers the record cannot hold: path elements and peer_asn must be
+  // integers in [0, 2^32), the timestamp finite and within int64.
+  const auto update = [](const std::string& fields) {
+    return R"({"peer":"192.0.2.1","type":"UPDATE",)" + fields +
+           R"(,"withdrawals":["10.0.0.0/8"]})";
+  };
+  ASSERT_TRUE(parse_ris_live_line(update(R"("timestamp":1,"peer_asn":1,"path":[1])"))
+                  .has_value());
+  EXPECT_FALSE(parse_ris_live_line(update(R"("timestamp":1,"peer_asn":1,"path":[1e300])"))
+                   .has_value());
+  EXPECT_FALSE(parse_ris_live_line(update(R"("timestamp":1,"peer_asn":1,"path":[-5])"))
+                   .has_value());
+  EXPECT_FALSE(parse_ris_live_line(update(R"("timestamp":1,"peer_asn":1,"path":[1e999])"))
+                   .has_value());
+  EXPECT_FALSE(parse_ris_live_line(update(R"("timestamp":1e300,"peer_asn":1)"))
+                   .has_value());
+  EXPECT_FALSE(parse_ris_live_line(update(R"("timestamp":1,"peer_asn":1.5)"))
+                   .has_value());
 }
 
 TEST(ObsLiveFeed, TcpFeedSubmitsParsedLines) {
@@ -659,6 +678,69 @@ TEST(ObsLiveFeed, TcpFeedFlushesFinalUnterminatedLineOnDisconnect) {
   EXPECT_EQ(stats.records, 2u);
   EXPECT_EQ(stats.parse_errors, 0u);
   EXPECT_EQ(service.processed(), 2u);
+  service.stop();
+}
+
+TEST(ObsLiveFeed, OverlongLineClosesClient) {
+  // A client streaming one endless line is cut off at the 1 MiB cap:
+  // one parse error, its connection closed, other clients unaffected.
+  LiveConfig config;
+  config.shards = 1;
+  config.block_on_full = true;
+  LiveService service(config);
+  service.start();
+  TcpNdjsonFeedSource feed(0);
+  ASSERT_NE(feed.port(), 0);
+  FeedSource::RunStats stats;
+  std::thread pump([&] { stats = feed.run(service); });
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(feed.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const auto connect_client = [&addr] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    timeval timeout{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+  };
+  const int good = connect_client();
+  const int hog = connect_client();
+
+  // 2 MiB without a newline. The feed hangs up partway, so a send may
+  // fail; stop sending there.
+  const std::string chunk(64 * 1024, 'x');
+  for (std::size_t sent = 0; sent < 2 * 1024 * 1024;) {
+    const ssize_t n = ::send(hog, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  char byte = 0;
+  const ssize_t got = ::recv(hog, &byte, 1, 0);
+  EXPECT_TRUE(got == 0 || (got < 0 && errno == ECONNRESET))
+      << "the feed kept the client open (recv " << got << ")";
+  ::close(hog);
+
+  const std::string line =
+      R"({"timestamp":1717500100,"peer":"192.0.2.1","peer_asn":64500,)"
+      R"("type":"UPDATE","announcements":[{"next_hop":"192.0.2.1",)"
+      R"("prefixes":["93.175.147.0/24"]}]})"
+      "\n";
+  ASSERT_EQ(::send(good, line.data(), line.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(line.size()));
+  ::close(good);
+
+  for (int spins = 0; spins < 200 && service.processed() < 1; ++spins) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  feed.stop();
+  pump.join();
+  service.finalize(1717500200);
+  EXPECT_EQ(stats.parse_errors, 1u);
+  EXPECT_EQ(stats.records, 1u);
+  EXPECT_EQ(service.processed(), 1u);
   service.stop();
 }
 

@@ -9,8 +9,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "obs/heap.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
 
@@ -31,7 +34,6 @@ std::uint64_t spin_for_ms(int ms) {
 }
 
 TEST(ObsProf, StartStopProducesSamples) {
-  if constexpr (!obs::kProfCompiledIn) GTEST_SKIP() << "profiler compiled out";
   obs::Profiler& profiler = obs::Profiler::global();
   ASSERT_TRUE(profiler.start());
   EXPECT_TRUE(profiler.running());
@@ -49,7 +51,6 @@ TEST(ObsProf, StartStopProducesSamples) {
 }
 
 TEST(ObsProf, SessionStartedMidSpanStillSamples) {
-  if constexpr (!obs::kProfCompiledIn) GTEST_SKIP() << "profiler compiled out";
   // The GET /profile shape: the session starts on one thread while the
   // worker is already deep inside spans it opened long before. The
   // worker must still get a sample ring (it registered at span open);
@@ -78,7 +79,6 @@ TEST(ObsProf, SessionStartedMidSpanStillSamples) {
 }
 
 TEST(ObsProf, StartWhileRunningFails) {
-  if constexpr (!obs::kProfCompiledIn) GTEST_SKIP() << "profiler compiled out";
   obs::Profiler& profiler = obs::Profiler::global();
   ASSERT_TRUE(profiler.start());
   EXPECT_FALSE(profiler.start());
@@ -95,7 +95,6 @@ TEST(ObsProf, StopWithoutStartIsInvalid) {
 }
 
 TEST(ObsProf, SamplesAttributeToActiveSpan) {
-  if constexpr (!obs::kProfCompiledIn) GTEST_SKIP() << "profiler compiled out";
   obs::Profiler& profiler = obs::Profiler::global();
   ASSERT_TRUE(profiler.start());
   {
@@ -117,7 +116,6 @@ TEST(ObsProf, SamplesAttributeToActiveSpan) {
 }
 
 TEST(ObsProf, ConcurrentThreadsAttributeToTheirOwnSpans) {
-  if constexpr (!obs::kProfCompiledIn) GTEST_SKIP() << "profiler compiled out";
   obs::Profiler& profiler = obs::Profiler::global();
   ASSERT_TRUE(profiler.start());
   std::atomic<bool> stop{false};
@@ -152,8 +150,41 @@ TEST(ObsProf, ConcurrentThreadsAttributeToTheirOwnSpans) {
   }
 }
 
+TEST(ObsProf, BothSamplersAttributeThroughOneSpanStack) {
+  // Every bench binary runs zsprof and zsheap together: the one span
+  // push ScopedSpan makes must reach both samplers.
+  obs::Profiler& profiler = obs::Profiler::global();
+  obs::HeapProfiler& heap = obs::HeapProfiler::global();
+  const bool heap_on = obs::HeapProfiler::interposition_available();
+  ASSERT_TRUE(profiler.start());
+  if (heap_on) {
+    ASSERT_TRUE(heap.start());
+  }
+  {
+    obs::ScopedSpan span("both.phase");
+    std::vector<std::string> kept;
+    std::uint64_t acc = 0;
+    for (int i = 0; i < 50; ++i) {
+      kept.emplace_back(4096, static_cast<char>('a' + i % 26));
+      acc += spin_for_ms(10) + static_cast<std::uint64_t>(kept.back()[0]);
+    }
+    volatile std::uint64_t sink = acc;
+    (void)sink;
+  }
+  const obs::HeapReport heap_report = heap_on ? heap.stop() : obs::HeapReport{};
+  const obs::ProfileReport report = profiler.stop();
+  ASSERT_TRUE(report.valid);
+  const auto phase = report.phase_samples.find("both.phase");
+  ASSERT_NE(phase, report.phase_samples.end()) << report.top_report();
+  EXPECT_GT(phase->second, 0u);
+  if (!heap_on) GTEST_SKIP() << "allocator interposition unavailable (sanitizer build)";
+  ASSERT_TRUE(heap_report.valid);
+  const auto span = heap_report.span_bytes.find("both.phase");
+  ASSERT_NE(span, heap_report.span_bytes.end());
+  EXPECT_GT(span->second.bytes, 0u);
+}
+
 TEST(ObsProf, SessionAccountingIsConsistent) {
-  if constexpr (!obs::kProfCompiledIn) GTEST_SKIP() << "profiler compiled out";
   obs::Profiler& profiler = obs::Profiler::global();
   ASSERT_TRUE(profiler.start());
   volatile std::uint64_t sink = spin_for_ms(300);
@@ -224,7 +255,7 @@ TEST(ObsProf, ProfilerOffCostsNothingMeasurable) {
   // not explode, not a benchmark (that lives in micro_hotpaths).
   for (int i = 0; i < 1000; ++i) {
     obs::ScopedSpan span("proftest.idle");
-    EXPECT_FALSE(obs::prof_attribution_active());
+    EXPECT_FALSE(obs::Profiler::global().running());
   }
 }
 

@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   // runs whenever HTTP is served; --no-loopback opts out.
   bool loopback = true;
   // zstsdb sampler cadence; 0 disables the store (and the alert rules
-  // that ride on it). A ZS_TSDB=OFF build compiles all of it away.
+  // that ride on it).
   long tsdb_cadence_ms = 1000;
   // Fallback SSE pump interval; frame delivery itself is event-driven
   // (publish wakes the serving loop through a self-pipe).
@@ -321,7 +321,7 @@ int main(int argc, char** argv) {
   obs::TsdbConfig tsdb_config;
   tsdb_config.cadence_ms = tsdb_cadence_ms > 0 ? tsdb_cadence_ms : 1000;
   obs::Tsdb tsdb(tsdb_config);
-  const bool tsdb_on = obs::kTsdbCompiledIn && tsdb_cadence_ms > 0;
+  const bool tsdb_on = tsdb_cadence_ms > 0;
   if (tsdb_on) {
     tsdb.add_probe("live.snapshot_age_seconds", obs::SeriesKind::kGauge,
                    [&service] {

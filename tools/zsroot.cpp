@@ -217,11 +217,6 @@ void write_score_json(FILE* out, const std::vector<scenarios::FaultScenarioResul
 }
 
 int run_score(const Options& opt) {
-  if constexpr (!obs::kCausalCompiledIn) {
-    std::fprintf(stderr, "zsroot: built with ZS_CAUSAL_ENABLED=0; scoring needs the "
-                         "causal tracer\n");
-    return 3;
-  }
   std::vector<scenarios::FaultScenarioResult> results;
   for (const scenarios::FaultScenarioSpec& spec : scenarios::default_fault_suite(opt.seeds))
     results.push_back(scenarios::run_fault_scenario(spec));

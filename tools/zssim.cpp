@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
   obs::Tsdb tsdb(tsdb_config);
   obs::HttpServer http;
   if (http_port >= 0) {
-    const bool tsdb_on = obs::kTsdbCompiledIn && tsdb_cadence_ms > 0;
+    const bool tsdb_on = tsdb_cadence_ms > 0;
     if (tsdb_on) tsdb.attach_http(http);
     if (!http.start(static_cast<std::uint16_t>(http_port))) {
       std::fprintf(stderr, "error: cannot bind HTTP port %d\n", http_port);

@@ -17,18 +17,16 @@
 //   alerts       every rule with state / value / threshold, firing first
 //
 // Capability detection goes through GET / (the endpoint index): when
-// the server was built with ZS_TSDB=OFF or started with
-// --tsdb-cadence-ms 0 there is no /tsdb/query to poll, and zstop says
-// so instead of rendering empty panels. Individual series that do not
-// exist (yet) render as "n/a" — a daemon that has not published its
-// first snapshot is not an error.
+// the server was started with --tsdb-cadence-ms 0 there is no
+// /tsdb/query to poll, and zstop says so instead of rendering empty
+// panels. Individual series that do not exist (yet) render as "n/a" —
+// a daemon that has not published its first snapshot is not an error.
 //
 // --once renders a single frame without ANSI positioning and exits 0
 // (CI-friendly: the soak in run_tier1.sh asserts it); the interactive
 // mode redraws every --interval-ms until Ctrl-C. Exits non-zero only
 // when the server cannot be reached at all. No dependencies beyond
-// POSIX sockets — the JSON parser below is a ~100-line recursive
-// descent over exactly the subset the zsobs endpoints emit.
+// POSIX sockets; bodies parse with the shared reader (netbase/json).
 
 #include <arpa/inet.h>
 #include <netdb.h>
@@ -43,10 +41,10 @@
 #include <cstring>
 #include <ctime>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "netbase/json.hpp"
 #include "obs/build_info.hpp"
 
 namespace {
@@ -57,125 +55,15 @@ void on_signal(int) { g_stop = 1; }
 
 // ---------------------------------------------------------------- JSON
 
-// Just enough JSON for the zsobs endpoints: objects, arrays, numbers,
-// strings (escapes decoded, \uXXXX collapsed to '?'), bools, null.
-struct Json {
-  enum Kind { kNull, kBool, kNum, kStr, kArr, kObj };
-  Kind kind = kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Json> arr;
-  std::vector<std::pair<std::string, Json>> obj;
+using zombiescope::netbase::JsonValue;
 
-  const Json* get(std::string_view key) const {
-    if (kind != kObj) return nullptr;
-    for (const auto& [k, v] : obj)
-      if (k == key) return &v;
-    return nullptr;
-  }
-  double number_or(double fallback) const { return kind == kNum ? num : fallback; }
-  std::string string_or(std::string fallback) const {
-    return kind == kStr ? str : std::move(fallback);
-  }
-};
-
-struct JsonParser {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' ||
-                                 text[pos] == '\n' || text[pos] == '\r'))
-      ++pos;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) { ++pos; return true; }
-    return false;
-  }
-  bool parse_string(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (pos < text.size()) {
-      char c = text[pos++];
-      if (c == '"') return true;
-      if (c == '\\' && pos < text.size()) {
-        char e = text[pos++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': out += '?'; pos = pos + 4 <= text.size() ? pos + 4 : text.size(); break;
-          default: out += e; break;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;
-  }
-  bool parse_value(Json& out, int depth = 0) {
-    if (depth > 32) return false;
-    skip_ws();
-    if (pos >= text.size()) return false;
-    const char c = text[pos];
-    if (c == '{') {
-      ++pos;
-      out.kind = Json::kObj;
-      skip_ws();
-      if (eat('}')) return true;
-      while (true) {
-        std::string key;
-        if (!parse_string(key)) return false;
-        if (!eat(':')) return false;
-        Json val;
-        if (!parse_value(val, depth + 1)) return false;
-        out.obj.emplace_back(std::move(key), std::move(val));
-        if (eat(',')) continue;
-        return eat('}');
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      out.kind = Json::kArr;
-      skip_ws();
-      if (eat(']')) return true;
-      while (true) {
-        Json val;
-        if (!parse_value(val, depth + 1)) return false;
-        out.arr.push_back(std::move(val));
-        if (eat(',')) continue;
-        return eat(']');
-      }
-    }
-    if (c == '"') {
-      out.kind = Json::kStr;
-      return parse_string(out.str);
-    }
-    if (text.compare(pos, 4, "true") == 0) {
-      out.kind = Json::kBool; out.b = true; pos += 4; return true;
-    }
-    if (text.compare(pos, 5, "false") == 0) {
-      out.kind = Json::kBool; out.b = false; pos += 5; return true;
-    }
-    if (text.compare(pos, 4, "null") == 0) {
-      out.kind = Json::kNull; pos += 4; return true;
-    }
-    char* end = nullptr;
-    const std::string num_text(text.substr(pos, 64));
-    out.num = std::strtod(num_text.c_str(), &end);
-    if (end == num_text.c_str()) return false;
-    out.kind = Json::kNum;
-    pos += static_cast<std::size_t>(end - num_text.c_str());
-    return true;
-  }
-};
-
-bool parse_json(std::string_view text, Json& out) {
-  JsonParser p{text};
-  return p.parse_value(out);
+double number_or(const JsonValue* v, double fallback) {
+  return v != nullptr && v->is_number() ? v->number : fallback;
 }
+std::string string_or(const JsonValue* v, std::string fallback) {
+  return v != nullptr && v->is_string() ? v->str : std::move(fallback);
+}
+bool flag(const JsonValue* v) { return v != nullptr && v->boolean; }
 
 // ---------------------------------------------------------------- HTTP
 
@@ -298,11 +186,14 @@ struct Client {
   int port = 0;
   int range_seconds = 120;
 
-  bool get_json(const std::string& path, Json& out, int& status) const {
+  bool get_json(const std::string& path, JsonValue& out, int& status) const {
     std::string body;
     if (!http_get(host, port, path, status, body)) return false;
     if (status != 200) return true;  // reached the server; no JSON expected
-    return parse_json(body, out);
+    auto doc = zombiescope::netbase::parse_json(body);
+    if (!doc) return false;
+    out = std::move(*doc);
+    return true;
   }
 
   Series query(const std::string& metric, const char* agg) const {
@@ -310,14 +201,14 @@ struct Client {
     std::string path = "/tsdb/query?metric=" + metric +
                        "&range=" + std::to_string(range_seconds) + "s&step=1s";
     if (agg != nullptr) path += std::string("&agg=") + agg;
-    Json doc;
+    JsonValue doc;
     int status = 0;
     if (!get_json(path, doc, status) || status != 200) return s;
-    const Json* points = doc.get("points");
-    if (points == nullptr || points->kind != Json::kArr) return s;
-    for (const Json& p : points->arr) {
-      if (p.kind != Json::kArr || p.arr.size() != 2) continue;
-      s.values.push_back(p.arr[1].number_or(0.0));
+    const JsonValue* points = doc.find("points");
+    if (points == nullptr || !points->is_array()) return s;
+    for (const JsonValue& p : points->array) {
+      if (!p.is_array() || p.array.size() != 2) continue;
+      s.values.push_back(number_or(&p.array[1], 0.0));
     }
     if (!s.values.empty()) {
       s.ok = true;
@@ -342,17 +233,17 @@ void render_series_row(std::string& out, const char* label, const std::string& n
 bool render_frame(const Client& client, const Style& style, std::string& out) {
   out.clear();
 
-  Json index;
+  JsonValue index;
   int status = 0;
   if (!client.get_json("/", index, status)) return false;
   bool has_tsdb = false;
   bool has_alerts = false;
   bool has_peers = false;
   bool has_sessions = false;
-  if (const Json* endpoints = index.get("endpoints");
-      endpoints != nullptr && endpoints->kind == Json::kArr) {
-    for (const Json& e : endpoints->arr) {
-      const Json* path = e.get("path");
+  if (const JsonValue* endpoints = index.find("endpoints");
+      endpoints != nullptr && endpoints->is_array()) {
+    for (const JsonValue& e : endpoints->array) {
+      const JsonValue* path = e.find("path");
       if (path == nullptr) continue;
       if (path->str == "/tsdb/query") has_tsdb = true;
       if (path->str == "/alerts") has_alerts = true;
@@ -370,8 +261,8 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
          " — " + now_text + "\n\n";
 
   if (!has_tsdb) {
-    out += "no /tsdb endpoints on this server — built with ZS_TSDB=OFF,\n"
-           "or started with --tsdb-cadence-ms 0. Nothing to render.\n";
+    out += "no /tsdb endpoints on this server — started with\n"
+           "--tsdb-cadence-ms 0. Nothing to render.\n";
     return true;
   }
 
@@ -381,14 +272,14 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
 
   // Every latency:<stage>:p99 series the store has — the set depends on
   // which pipeline stages have run, so discover instead of hard-coding.
-  Json metrics_doc;
+  JsonValue metrics_doc;
   std::vector<std::string> p99_names;
   if (client.get_json("/tsdb/metrics", metrics_doc, status) && status == 200) {
-    if (const Json* metrics = metrics_doc.get("metrics");
-        metrics != nullptr && metrics->kind == Json::kArr) {
-      for (const Json& m : metrics->arr) {
-        const Json* name = m.get("name");
-        if (name == nullptr || name->kind != Json::kStr) continue;
+    if (const JsonValue* metrics = metrics_doc.find("metrics");
+        metrics != nullptr && metrics->is_array()) {
+      for (const JsonValue& m : metrics->array) {
+        const JsonValue* name = m.find("name");
+        if (name == nullptr || !name->is_string()) continue;
         const std::string& n = name->str;
         if (n.rfind("latency:", 0) == 0 && n.size() > 4 &&
             n.compare(n.size() - 4, 4, ":p99") == 0)
@@ -412,16 +303,9 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
   const Series depth = client.query("live.queue_depth", nullptr);
   render_series_row(out, "queue", "depth", depth, fmt_si(depth.last));
   const Series drops = client.query("live.ingest_dropped_total", "rate");
-  {
-    const std::string text = fmt_si(drops.last) + "/s";
-    char head[128];
-    std::snprintf(head, sizeof(head), "%-10s %-28s %10s  ", "", "drops /s",
-                  drops.ok ? (drops.last > 0 ? style.red(text).c_str() : text.c_str())
-                           : "n/a");
-    out += head;
-    out += sparkline(drops.values, kSparkWidth);
-    out += '\n';
-  }
+  const std::string drops_text = fmt_si(drops.last) + "/s";
+  render_series_row(out, "", "drops /s", drops,
+                    drops.last > 0 ? style.red(drops_text) : drops_text);
 
   const Series zombies = client.query("live.active_zombies", nullptr);
   render_series_row(out, "zombies", "active", zombies, fmt_si(zombies.last));
@@ -430,11 +314,10 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
   // statistically noisy, who went silent, worst offenders first.
   if (has_peers) {
     out += '\n';
-    Json peers;
+    JsonValue peers;
     if (client.get_json("/peers", peers, status) && status == 200) {
       const auto count_of = [&peers](const char* key) {
-        const Json* v = peers.get(key);
-        return v != nullptr ? static_cast<int>(v->number_or(0)) : 0;
+        return static_cast<int>(number_or(peers.find(key), 0));
       };
       const int feeding = count_of("feeding_count");
       const int noisy = count_of("noisy_count");
@@ -448,38 +331,30 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
       render_series_row(out, "", "noisy count", noisy_series,
                         fmt_si(noisy_series.last));
       // Worst stuck probabilities, noisy and silent rows always shown.
-      if (const Json* rows = peers.get("peers");
-          rows != nullptr && rows->kind == Json::kArr) {
-        std::vector<const Json*> ranked;
-        for (const Json& r : rows->arr) ranked.push_back(&r);
-        std::sort(ranked.begin(), ranked.end(), [](const Json* a, const Json* b) {
-          const double pa = a->get("probability") != nullptr
-                                ? a->get("probability")->number_or(0) : 0;
-          const double pb = b->get("probability") != nullptr
-                                ? b->get("probability")->number_or(0) : 0;
-          return pa > pb;
-        });
+      if (const JsonValue* rows = peers.find("peers");
+          rows != nullptr && rows->is_array()) {
+        std::vector<const JsonValue*> ranked;
+        for (const JsonValue& r : rows->array) ranked.push_back(&r);
+        std::sort(ranked.begin(), ranked.end(),
+                  [](const JsonValue* a, const JsonValue* b) {
+                    return number_or(a->find("probability"), 0) >
+                           number_or(b->find("probability"), 0);
+                  });
         int shown = 0;
-        for (const Json* r : ranked) {
-          const bool is_noisy = r->get("noisy") != nullptr && r->get("noisy")->b;
-          const bool is_silent = r->get("silent") != nullptr && r->get("silent")->b;
+        for (const JsonValue* r : ranked) {
+          const bool is_noisy = flag(r->find("noisy"));
+          const bool is_silent = flag(r->find("silent"));
           if (shown >= 3 && !is_noisy && !is_silent) break;
-          const double p = r->get("probability") != nullptr
-                               ? r->get("probability")->number_or(0) : 0;
-          const double lo = r->get("wilson_low") != nullptr
-                                ? r->get("wilson_low")->number_or(0) : 0;
-          const double hi = r->get("wilson_high") != nullptr
-                                ? r->get("wilson_high")->number_or(0) : 0;
+          const double p = number_or(r->find("probability"), 0);
+          const double lo = number_or(r->find("wilson_low"), 0);
+          const double hi = number_or(r->find("wilson_high"), 0);
           char row[192];
           std::snprintf(row, sizeof(row),
                         "  AS%-8d %-24s p=%.3f [%.3f,%.3f] stuck %-6d%s%s\n",
-                        r->get("asn") != nullptr
-                            ? static_cast<int>(r->get("asn")->number_or(0)) : 0,
-                        r->get("address") != nullptr
-                            ? r->get("address")->string_or("?").c_str() : "?",
+                        static_cast<int>(number_or(r->find("asn"), 0)),
+                        string_or(r->find("address"), "?").c_str(),
                         p, lo, hi,
-                        r->get("stuck") != nullptr
-                            ? static_cast<int>(r->get("stuck")->number_or(0)) : 0,
+                        static_cast<int>(number_or(r->find("stuck"), 0)),
                         is_noisy ? " NOISY" : "", is_silent ? " SILENT" : "");
           const std::string text(row);
           out += is_noisy ? style.red(text) : is_silent ? style.yellow(text) : text;
@@ -496,11 +371,10 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
   // routes (the zombie-manufacturing state, so stale > 0 is loud).
   if (has_sessions) {
     out += '\n';
-    Json sessions;
+    JsonValue sessions;
     if (client.get_json("/sessions", sessions, status) && status == 200) {
       const auto count_of = [&sessions](const char* key) {
-        const Json* v = sessions.get(key);
-        return v != nullptr ? static_cast<int>(v->number_or(0)) : 0;
+        return static_cast<int>(number_or(sessions.find(key), 0));
       };
       const int established = count_of("established");
       const int stale = count_of("stale_routes");
@@ -509,31 +383,25 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
              std::to_string(established) + " established, " +
              (stale > 0 ? style.red(style.bold(stale_text)) : style.green(stale_text)) +
              "\n";
-      if (const Json* rows = sessions.get("sessions");
-          rows != nullptr && rows->kind == Json::kArr) {
+      if (const JsonValue* rows = sessions.find("sessions");
+          rows != nullptr && rows->is_array()) {
         int shown = 0;
-        for (const Json& r : rows->arr) {
-          const std::string state =
-              r.get("state") != nullptr ? r.get("state")->string_or("?") : "?";
+        for (const JsonValue& r : rows->array) {
+          const std::string state = string_or(r.find("state"), "?");
           const bool ghost = state == "GrStale";
           if (shown >= 6 && !ghost) continue;  // ghosts always shown
-          const bool gr = r.get("gr") != nullptr && r.get("gr")->b;
-          const bool llgr = r.get("llgr") != nullptr && r.get("llgr")->b;
+          const bool gr = flag(r.find("gr"));
+          const bool llgr = flag(r.find("llgr"));
           char row[192];
           std::snprintf(row, sizeof(row),
                         "  AS%-8d %-24s %-12s hold %-5d routes %-6d%s%s%s\n",
-                        r.get("asn") != nullptr
-                            ? static_cast<int>(r.get("asn")->number_or(0)) : 0,
-                        r.get("address") != nullptr
-                            ? r.get("address")->string_or("?").c_str() : "?",
+                        static_cast<int>(number_or(r.find("asn"), 0)),
+                        string_or(r.find("address"), "?").c_str(),
                         state.c_str(),
-                        r.get("hold") != nullptr
-                            ? static_cast<int>(r.get("hold")->number_or(0)) : 0,
-                        r.get("routes") != nullptr
-                            ? static_cast<int>(r.get("routes")->number_or(0)) : 0,
+                        static_cast<int>(number_or(r.find("hold"), 0)),
+                        static_cast<int>(number_or(r.find("routes"), 0)),
                         llgr ? " LLGR" : gr ? " GR" : "",
-                        r.get("bridged") != nullptr && r.get("bridged")->b
-                            ? " bridge" : "",
+                        flag(r.find("bridged")) ? " bridge" : "",
                         ghost ? " GHOST" : "");
           const std::string text(row);
           out += ghost ? style.yellow(text) : text;
@@ -550,33 +418,29 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
     out += "alerts     (no /alerts endpoint)\n";
     return true;
   }
-  Json alerts;
+  JsonValue alerts;
   if (!client.get_json("/alerts", alerts, status) || status != 200) {
     out += "alerts     n/a\n";
     return true;
   }
-  const int firing = static_cast<int>(
-      alerts.get("firing") != nullptr ? alerts.get("firing")->number_or(0) : 0);
+  const int firing = static_cast<int>(number_or(alerts.find("firing"), 0));
   const std::string firing_text = std::to_string(firing) + " firing";
   out += "alerts     " + (firing > 0 ? style.red(style.bold(firing_text)) : style.green(firing_text)) + "\n";
-  if (const Json* rules = alerts.get("rules");
-      rules != nullptr && rules->kind == Json::kArr) {
+  if (const JsonValue* rules = alerts.find("rules");
+      rules != nullptr && rules->is_array()) {
     // Firing first, then pending, then ok — the interesting rows on top.
     auto rank = [](const std::string& state) {
       return state == "firing" ? 0 : state == "pending" ? 1 : 2;
     };
-    std::vector<const Json*> sorted;
-    for (const Json& r : rules->arr) sorted.push_back(&r);
+    std::vector<const JsonValue*> sorted;
+    for (const JsonValue& r : rules->array) sorted.push_back(&r);
     for (int pass = 0; pass < 3; ++pass) {
-      for (const Json* r : sorted) {
-        const std::string state =
-            r->get("state") != nullptr ? r->get("state")->string_or("?") : "?";
+      for (const JsonValue* r : sorted) {
+        const std::string state = string_or(r->find("state"), "?");
         if (rank(state) != pass) continue;
-        const std::string name =
-            r->get("name") != nullptr ? r->get("name")->string_or("?") : "?";
-        const double value = r->get("value") != nullptr ? r->get("value")->number_or(0) : 0;
-        const double threshold =
-            r->get("threshold") != nullptr ? r->get("threshold")->number_or(0) : 0;
+        const std::string name = string_or(r->find("name"), "?");
+        const double value = number_or(r->find("value"), 0);
+        const double threshold = number_or(r->find("threshold"), 0);
         char row[192];
         std::snprintf(row, sizeof(row), "  %-8s %-28s value %-10s threshold %s\n",
                       state.c_str(), name.c_str(), fmt_si(value).c_str(),
