@@ -13,7 +13,11 @@
 # keeps raw pointers into the caller's records; these are
 # single-threaded, so the TSan leg skips them. Both legs run the JSON
 # reader's suite (RIS-Live NDJSON is network input), and the UBSan leg
-# adds -fsanitize=float-cast-overflow (see CMakeLists.txt). Each sanitizer leg ends
+# adds -fsanitize=float-cast-overflow (see CMakeLists.txt). Both legs
+# run the socket reactor's suite and the WireE2E socket tests (the BGP
+# speaker and bridge over real loopback sessions); WireE2EReplay is
+# excluded there because its longlived2024 set-up alone takes minutes
+# under TSan (the plain build runs it). Each sanitizer leg ends
 # with a 30-second zslived tap-demo soak under concurrent curl clients.
 #
 # Usage: scripts/run_tier1.sh [build-dir]   (default: build)
@@ -40,10 +44,10 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 # __sanitizer symbols — the session tests skip there, while the
 # report/rendering tests still run. This proves the step-aside path,
 # not just the happy path.
-OBS_TARGETS="json_test obs_test journal_test http_test prof_test benchdiff_test \
+OBS_TARGETS="json_test reactor_test obs_test journal_test http_test prof_test benchdiff_test \
   heap_test heap_compileout_test lathist_test tsdb_test \
   causal_test causal_e2e_test live_test realtime_test \
-  wire_test wirefault_test zswire zslived zstop"
+  wire_test wire_e2e_test wirefault_test zswire zslived zstop"
 # Single-threaded suites for the ASan+UBSan leg only.
 ASAN_ONLY_TARGETS="mrt_test zombie_test fuzz_codec_test"
 
@@ -273,7 +277,8 @@ echo "== tier-1: obs tests under ThreadSanitizer (${TSAN_DIR})"
 cmake -B "${TSAN_DIR}" -S . -DZS_SANITIZE=thread
 # shellcheck disable=SC2086
 cmake --build "${TSAN_DIR}" -j --target ${OBS_TARGETS}
-ctest --test-dir "${TSAN_DIR}" --output-on-failure -R '^Obs|^Json|^Wire|^RealTime'
+ctest --test-dir "${TSAN_DIR}" --output-on-failure -R '^Obs|^Json|^Reactor|^Wire|^RealTime' \
+  -E '^WireE2EReplay'
 soak_zslived "${TSAN_DIR}" "tsan"
 soak_bgp "${TSAN_DIR}" "tsan"
 
@@ -283,7 +288,8 @@ cmake -B "${ASAN_DIR}" -S . -DZS_SANITIZE=address,undefined
 cmake --build "${ASAN_DIR}" -j --target ${OBS_TARGETS} ${ASAN_ONLY_TARGETS}
 # Parameterized suites are named Seeds/CodecFuzz.*, so CodecFuzz is unanchored.
 ctest --test-dir "${ASAN_DIR}" --output-on-failure \
-  -R '^Obs|^Json|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.'
+  -R '^Obs|^Json|^Reactor|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.' \
+  -E '^WireE2EReplay'
 soak_zslived "${ASAN_DIR}" "asan"
 soak_bgp "${ASAN_DIR}" "asan"
 

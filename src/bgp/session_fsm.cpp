@@ -168,6 +168,24 @@ void SessionFsm::tick(netbase::TimePoint now) {
   }
 }
 
+std::optional<netbase::TimePoint> SessionFsm::next_deadline() const {
+  std::optional<netbase::TimePoint> next;
+  const auto consider = [&next](netbase::TimePoint t) {
+    if (!next || t < *next) next = t;
+  };
+  if (state_ == FsmState::kConnect) {
+    if (config_.connect_retry > 0) consider(connect_retry_at_);
+    return next;
+  }
+  if (state_ == FsmState::kIdle) return next;
+  if (negotiated_hold_time() > 0) consider(hold_expires_);
+  if (state_ == FsmState::kEstablished) {
+    if (send_hold_expires_.has_value()) consider(*send_hold_expires_);
+    if (negotiated_keepalive_interval() > 0) consider(keepalive_due_);
+  }
+  return next;
+}
+
 void SessionFsm::enqueue(netbase::TimePoint now, FsmMessage message) {
   out_queue_.push_back(std::move(message));
   if (config_.send_hold_time > 0 && !send_hold_expires_.has_value())

@@ -116,6 +116,11 @@ class SessionFsm {
   /// Messages waiting for the peer to read (the "socket queue").
   std::size_t queued() const { return out_queue_.size(); }
 
+  /// The earliest instant a running timer fires (ConnectRetry, hold,
+  /// send hold, KEEPALIVE), i.e. when tick() next has work; nullopt
+  /// when no timer runs.
+  std::optional<netbase::TimePoint> next_deadline() const;
+
   /// Why the session last left Established, if it did.
   const std::string& last_error() const { return last_error_; }
 

@@ -1,5 +1,6 @@
 #include "live/bgp_feed.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -38,14 +39,20 @@ void BgpFeedSource::submit_or_queue(LiveService& service, PendingRecord&& pendin
   }
   // Bridge records re-sequence: the archive order must survive the
   // kernel's cross-socket interleaving for live == batch equivalence.
-  reorder_.push(std::move(pending));
-  while (!reorder_.empty() && reorder_.top().sequence <= next_sequence_) {
-    PendingRecord release = reorder_.top();
-    reorder_.pop();
-    if (release.sequence == next_sequence_) ++next_sequence_;
-    ++stats.records;
-    service.submit(FeedItem{std::move(release.record), release.ingest});
+  reorder_.push_back(std::move(pending));
+  std::push_heap(reorder_.begin(), reorder_.end(), sequence_after);
+  while (!reorder_.empty() && reorder_.front().sequence <= next_sequence_) {
+    if (reorder_.front().sequence == next_sequence_) ++next_sequence_;
+    release_top(service, stats);
   }
+}
+
+void BgpFeedSource::release_top(LiveService& service, RunStats& stats) {
+  std::pop_heap(reorder_.begin(), reorder_.end(), sequence_after);
+  PendingRecord release = std::move(reorder_.back());
+  reorder_.pop_back();
+  ++stats.records;
+  service.submit(FeedItem{std::move(release.record), release.ingest});
 }
 
 FeedSource::RunStats BgpFeedSource::run(LiveService& service) {
@@ -123,12 +130,7 @@ FeedSource::RunStats BgpFeedSource::run(LiveService& service) {
 
   // Anything still parked in the reorder heap (a bridge died mid-run)
   // flushes in sequence order rather than vanishing.
-  while (!reorder_.empty()) {
-    PendingRecord release = reorder_.top();
-    reorder_.pop();
-    ++stats.records;
-    service.submit(FeedItem{std::move(release.record), release.ingest});
-  }
+  while (!reorder_.empty()) release_top(service, stats);
   return stats;
 }
 

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -64,19 +63,19 @@ class BgpFeedSource : public FeedSource {
     mrt::MrtRecord record;
     std::chrono::steady_clock::time_point ingest{};
   };
-  struct SequenceAfter {
-    bool operator()(const PendingRecord& a, const PendingRecord& b) const {
-      return a.sequence > b.sequence;
-    }
-  };
+  /// Heap order for reorder_: the lowest sequence on top.
+  static bool sequence_after(const PendingRecord& a, const PendingRecord& b) {
+    return a.sequence > b.sequence;
+  }
 
   void submit_or_queue(LiveService& service, PendingRecord&& pending,
                        bool stamped, RunStats& stats);
+  /// Pops the lowest-sequence record off reorder_ and submits it.
+  void release_top(LiveService& service, RunStats& stats);
 
   wire::SpeakerConfig config_;
   wire::BgpSpeaker speaker_;
-  std::priority_queue<PendingRecord, std::vector<PendingRecord>, SequenceAfter>
-      reorder_;
+  std::vector<PendingRecord> reorder_;  // a min-heap on sequence
   std::uint64_t next_sequence_ = 0;
 };
 

@@ -1,18 +1,11 @@
 #include "live/feed.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <charconv>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include "collector/collector.hpp"
 #include "mrt/codec.hpp"
@@ -342,124 +335,77 @@ constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 }  // namespace
 
 TcpNdjsonFeedSource::TcpNdjsonFeedSource(std::uint16_t port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw std::runtime_error("zslive: socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd_, 8) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  if (!reactor_.listen(port))
     throw std::runtime_error("zslive: cannot bind NDJSON feed port " +
                              std::to_string(port));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  ::fcntl(listen_fd_, F_SETFL, O_NONBLOCK);
-}
-
-TcpNdjsonFeedSource::~TcpNdjsonFeedSource() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
 FeedSource::RunStats TcpNdjsonFeedSource::run(LiveService& service) {
-  RunStats stats;
-  const obs::Counter m_records = feed_records_counter();
-  const obs::Counter m_errors = feed_parse_errors_counter();
+  struct Clients final : netbase::Reactor::Handler {
+    using ConnId = netbase::Reactor::ConnId;
+    using Clock = netbase::Reactor::Clock;
 
-  struct Client {
-    int fd = -1;
-    std::string buffer;
-  };
-  std::vector<Client> clients;
+    Clients(netbase::Reactor& r, LiveService& s) : reactor(r), service(s) {}
 
-  const auto parse_error = [&] {
-    ++stats.parse_errors;
-    m_errors.inc();
-  };
-  const auto submit_line = [&](std::string_view line) {
-    // Stamp before the parse: wire read → enqueue includes the JSON
-    // decode cost in the ingest_enqueue stage.
-    const auto ingest = std::chrono::steady_clock::now();
-    if (auto record = parse_ris_live_line(line)) {
-      service.submit(FeedItem{std::move(*record), ingest});
-      ++stats.records;
-      m_records.inc();
-    } else {
+    void on_open(ConnId id) override { lines[id]; }
+    void on_data(ConnId id, std::string_view bytes) override {
+      std::string& buffer = lines[id];
+      buffer.append(bytes);
+      consume(buffer, false);
+      if (buffer.size() <= kMaxLineBytes) return;
+      // An unterminated line past the cap: drop it unparsed and hang up
+      // on the client.
       parse_error();
+      buffer.clear();
+      reactor.close(id);
     }
-  };
-  const auto consume = [&](Client& client, bool flush) {
-    std::size_t start = 0;
-    for (std::size_t nl; (nl = client.buffer.find('\n', start)) != std::string::npos;
-         start = nl + 1) {
-      std::string_view line(client.buffer.data() + start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      if (!line.empty()) submit_line(line);
+    void on_close(ConnId id, netbase::Reactor::Closed) override {
+      consume(lines[id], true);  // a final unterminated line
+      lines.erase(id);
     }
-    client.buffer.erase(0, start);
-    if (!flush) return;
-    // A final unterminated line when the client hangs up.
-    if (!client.buffer.empty()) submit_line(client.buffer);
-    client.buffer.clear();
-  };
+    Clock::time_point on_turn(Clock::time_point) override {
+      return Clock::time_point::max();
+    }
 
-  while (!stop_.load(std::memory_order_relaxed)) {
-    std::vector<pollfd> pfds;
-    pfds.push_back({listen_fd_, POLLIN, 0});
-    for (const Client& client : clients) {
-      pfds.push_back({client.fd, POLLIN, 0});
-    }
-    const int ready = ::poll(pfds.data(), pfds.size(), 50);
-    if (ready <= 0) continue;
-
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      if ((pfds[i + 1].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-      Client& client = clients[i];
-      char buf[4096];
-      for (;;) {
-        const ssize_t n = ::recv(client.fd, buf, sizeof(buf), 0);
-        if (n > 0) {
-          client.buffer.append(buf, static_cast<std::size_t>(n));
-          if (client.buffer.size() <= kMaxLineBytes) continue;
-          consume(client, false);
-          if (client.buffer.size() <= kMaxLineBytes) continue;
-          // An unterminated line past the cap: drop it unparsed and
-          // hang up on the client.
-          parse_error();
-          client.buffer.clear();
-        } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-          break;
-        } else {
-          consume(client, true);
-        }
-        ::close(client.fd);
-        client.fd = -1;
-        break;
+    void consume(std::string& buffer, bool flush) {
+      std::size_t start = 0;
+      for (std::size_t nl; (nl = buffer.find('\n', start)) != std::string::npos;
+           start = nl + 1) {
+        std::string_view line(buffer.data() + start, nl - start);
+        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+        if (!line.empty()) submit_line(line);
       }
-      if (client.fd >= 0) consume(client, false);
+      buffer.erase(0, start);
+      if (!flush) return;
+      if (!buffer.empty()) submit_line(buffer);
+      buffer.clear();
     }
-    std::erase_if(clients, [](const Client& client) { return client.fd < 0; });
-
-    if ((pfds[0].revents & POLLIN) != 0) {
-      for (;;) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;
-        ::fcntl(fd, F_SETFL, O_NONBLOCK);
-        clients.push_back({fd, {}});
+    void submit_line(std::string_view line) {
+      // Stamp before the parse: wire read → enqueue includes the JSON
+      // decode cost in the ingest_enqueue stage.
+      const auto ingest = std::chrono::steady_clock::now();
+      if (auto record = parse_ris_live_line(line)) {
+        service.submit(FeedItem{std::move(*record), ingest});
+        ++stats.records;
+        m_records.inc();
+      } else {
+        parse_error();
       }
     }
-  }
-  for (Client& client : clients) {
-    consume(client, true);
-    ::close(client.fd);
-  }
-  return stats;
+    void parse_error() {
+      ++stats.parse_errors;
+      m_errors.inc();
+    }
+
+    netbase::Reactor& reactor;
+    LiveService& service;
+    RunStats stats;
+    const obs::Counter m_records = feed_records_counter();
+    const obs::Counter m_errors = feed_parse_errors_counter();
+    std::unordered_map<ConnId, std::string> lines;  // each client's partial line
+  } clients(reactor_, service);
+  reactor_.run(clients);
+  return clients.stats;
 }
 
 }  // namespace zombiescope::live

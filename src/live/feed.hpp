@@ -39,6 +39,7 @@
 #include "beacon/schedule.hpp"
 #include "live/service.hpp"
 #include "mrt/record.hpp"
+#include "netbase/reactor.hpp"
 
 namespace zombiescope::live {
 
@@ -127,21 +128,19 @@ class TcpNdjsonFeedSource : public FeedSource {
   /// port() is valid before run(). Throws std::runtime_error if the
   /// socket cannot be bound.
   explicit TcpNdjsonFeedSource(std::uint16_t port);
-  ~TcpNdjsonFeedSource() override;
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return reactor_.port(); }
 
-  /// Serves until stop(): accepts any number of clients, parses each
-  /// complete line, submits what parses, counts what does not. A client
-  /// whose unterminated line passes 1 MiB costs one parse error and is
-  /// disconnected.
+  /// Serves until stop(): accepts up to netbase::kMaxConnections
+  /// clients at once, parses each complete line, submits what parses,
+  /// counts what does not. A client's final unterminated line is parsed
+  /// when it disconnects; one whose unterminated line passes 1 MiB
+  /// costs one parse error and is disconnected.
   RunStats run(LiveService& service) override;
-  void stop() override { stop_.store(true, std::memory_order_relaxed); }
+  void stop() override { reactor_.stop(); }
 
  private:
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
+  netbase::Reactor reactor_;
 };
 
 }  // namespace zombiescope::live

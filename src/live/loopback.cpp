@@ -1,14 +1,12 @@
 #include "live/loopback.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
+
+#include "netbase/reactor.hpp"
 
 namespace zombiescope::live {
 
@@ -40,28 +38,13 @@ LoopbackLatencyClient::~LoopbackLatencyClient() { stop(); }
 
 bool LoopbackLatencyClient::start() {
   if (fd_ >= 0) return true;
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) return false;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port_);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    return false;
-  }
   // Bounded recv waits so stop() is honored even on a silent stream.
-  timeval tv{};
-  tv.tv_usec = 100 * 1000;
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  fd_ = netbase::connect_tcp("127.0.0.1", port_, /*recv_timeout_ms=*/100);
+  if (fd_ < 0) return false;
   const std::string request = "GET " + target_ +
                               " HTTP/1.1\r\nHost: 127.0.0.1\r\nAccept: "
                               "text/event-stream\r\n\r\n";
-  if (::send(fd_, request.data(), request.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(request.size())) {
+  if (!netbase::send_all(fd_, request)) {
     ::close(fd_);
     fd_ = -1;
     return false;
@@ -84,14 +67,14 @@ void LoopbackLatencyClient::stop() {
 void LoopbackLatencyClient::reader_loop() {
   char buf[8192];
   while (!stop_.load(std::memory_order_relaxed)) {
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    const std::ptrdiff_t n = netbase::recv_some(fd_, buf, sizeof(buf));
     if (n > 0) {
       bytes_.fetch_add(static_cast<std::uint64_t>(n),
                        std::memory_order_relaxed);
       scan(buf, static_cast<std::size_t>(n));
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       continue;  // recv timeout tick; re-check stop_
     }
     break;  // peer closed or hard error

@@ -1,17 +1,8 @@
 #include "obs/http.hpp"
 
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <thread>
 
@@ -28,15 +19,11 @@ namespace zombiescope::obs {
 
 namespace {
 
-constexpr int kPollIntervalMs = 100;
-constexpr int kRequestTimeoutMs = 2000;
+constexpr std::chrono::milliseconds kRequestTimeout{2000};
 // A queued (non-streaming) response must drain within this bound; a
 // client that stops reading is closed when it expires.
-constexpr int kFlushTimeoutMs = 30'000;
+constexpr std::chrono::milliseconds kFlushTimeout{30'000};
 constexpr std::size_t kMaxRequestBytes = 8192;
-constexpr std::size_t kMaxConnections = 64;
-
-using Clock = std::chrono::steady_clock;
 
 std::string_view status_text(int status) {
   switch (status) {
@@ -48,11 +35,6 @@ std::string_view status_text(int status) {
     case 503: return "Service Unavailable";
     default: return "Bad Request";
   }
-}
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
 // One HTTP/1.1 chunk (streams use chunked transfer coding).
@@ -295,18 +277,12 @@ void SseChannel::publish(std::string_view event, std::string_view data) {
     ++first_seq_;
   }
   published_.fetch_add(1, std::memory_order_relaxed);
-  if (wake_fd_ >= 0) {
-    // Wake the serving loop's poll() immediately; a failed write means
-    // the pipe already holds a pending wakeup (or the server is gone),
-    // both fine.
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &byte, 1);
-  }
+  if (waker_ != nullptr) waker_->wake();
 }
 
-void SseChannel::set_wakeup_fd(int fd) {
+void SseChannel::set_waker(netbase::Reactor* reactor) {
   std::lock_guard<std::mutex> lock(mutex_);
-  wake_fd_ = fd;
+  waker_ = reactor;
 }
 
 void SseChannel::set_latency_sink(std::function<void(std::uint64_t)> sink) {
@@ -343,21 +319,6 @@ std::uint64_t SseChannel::collect(std::uint64_t cursor, std::string& out) const 
 
 // --- HttpServer ------------------------------------------------------
 
-struct HttpServer::Conn {
-  int fd = -1;
-  std::string in;
-  std::string out;
-  std::size_t out_off = 0;
-  bool responded = false;  // request routed, response or stream head queued
-  bool streaming = false;
-  SseChannel* channel = nullptr;
-  std::uint64_t cursor = 0;
-  Clock::time_point read_deadline{};
-  Clock::time_point flush_deadline{};  // non-streaming responses only
-  Clock::time_point last_beat{};
-  bool dead = false;
-};
-
 void HttpServer::add_endpoint(std::string path, Handler handler) {
   if (running()) return;  // registration is a startup-time operation
   routes_.push_back({std::move(path), Route{std::move(handler), nullptr}});
@@ -369,220 +330,110 @@ void HttpServer::add_stream(std::string path, SseChannel* channel) {
 }
 
 bool HttpServer::start(std::uint16_t port) {
-  if (listen_fd_ >= 0) return false;
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 16) != 0 || !set_nonblocking(fd)) {
-    ::close(fd);
-    return false;
+  if (running()) return false;
+  auto reactor = std::make_unique<netbase::Reactor>(max_client_buffer_);
+  if (!reactor->listen(port)) return false;
+  reactor_ = std::move(reactor);
+  // Every publish() wakes the serving loop: frame delivery is
+  // event-driven.
+  for (auto& [path, route] : routes_) {
+    if (route.channel != nullptr) route.channel->set_waker(reactor_.get());
   }
-
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) != 0) {
-    ::close(fd);
-    return false;
-  }
-  port_ = ntohs(bound.sin_port);
-  listen_fd_ = fd;
-
-  // Self-pipe: every SSE channel writes a byte on publish() so the
-  // serving loop's poll() returns immediately instead of waiting out
-  // its pump interval — frame delivery is event-driven.
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) == 0 && set_nonblocking(pipe_fds[0]) &&
-      set_nonblocking(pipe_fds[1])) {
-    wake_rd_ = pipe_fds[0];
-    wake_wr_ = pipe_fds[1];
-    for (auto& [path, route] : routes_) {
-      if (route.channel != nullptr) route.channel->set_wakeup_fd(wake_wr_);
-    }
-  } else if (pipe_fds[0] >= 0) {
-    ::close(pipe_fds[0]);
-    ::close(pipe_fds[1]);
-  }
-
-  stop_.store(false, std::memory_order_relaxed);
   Registry& reg = Registry::global();
   m_requests_ = reg.counter("zs_http_requests_total");
   m_evictions_ = reg.counter("zs_http_slow_clients_evicted_total");
   m_open_conns_ = reg.gauge("zs_http_open_connections");
   m_sse_clients_ = reg.gauge("zs_http_sse_clients");
-  thread_ = std::thread([this] { serve_loop(); });
+  thread_ = std::thread([this] { reactor_->run(*this); });
   return true;
 }
 
 void HttpServer::stop() {
-  if (listen_fd_ < 0) return;
-  stop_.store(true, std::memory_order_relaxed);
-  if (wake_wr_ >= 0) {
-    // Kick the poll() so shutdown is not delayed by a full interval.
-    const char byte = 0;
-    [[maybe_unused]] const ssize_t n = ::write(wake_wr_, &byte, 1);
-  }
+  if (!running()) return;
+  reactor_->stop();
   if (thread_.joinable()) thread_.join();
   for (auto& [path, route] : routes_) {
-    if (route.channel != nullptr) route.channel->set_wakeup_fd(-1);
+    if (route.channel != nullptr) route.channel->set_waker(nullptr);
   }
-  if (wake_rd_ >= 0) ::close(wake_rd_);
-  if (wake_wr_ >= 0) ::close(wake_wr_);
-  wake_rd_ = wake_wr_ = -1;
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  port_ = 0;
+  reactor_.reset();
 }
 
-void HttpServer::serve_loop() {
-  std::vector<pollfd> pfds;
-  const std::size_t fixed = wake_rd_ >= 0 ? 2 : 1;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    pfds.clear();
-    pfds.push_back({listen_fd_, POLLIN, 0});
-    if (wake_rd_ >= 0) pfds.push_back({wake_rd_, POLLIN, 0});
-    bool any_stream = false;
-    for (const Conn* c : conns_) {
-      short events = POLLIN;  // always watch for data / orderly close
-      if (c->out_off < c->out.size()) events |= POLLOUT;
-      if (c->streaming) any_stream = true;
-      pfds.push_back({c->fd, events, 0});
-    }
-    // With the publish self-pipe in the set, the stream interval is
-    // only a heartbeat/eviction bound, not the frame-delivery floor.
-    ::poll(pfds.data(), pfds.size(),
-           any_stream ? stream_poll_ms_ : kPollIntervalMs);
-    if (stop_.load(std::memory_order_relaxed)) break;
-
-    if (wake_rd_ >= 0 && (pfds[1].revents & POLLIN) != 0) {
-      char drain[256];
-      while (::read(wake_rd_, drain, sizeof(drain)) > 0) {
-      }
-    }
-
-    // Process the connections that were polled (accept afterwards, so
-    // pfds and conns_ stay index-aligned here).
-    const std::size_t polled = pfds.size() - fixed;
-    const Clock::time_point now = Clock::now();
-    for (std::size_t i = 0; i < polled; ++i) {
-      Conn& c = *conns_[i];
-      const short re = pfds[i + fixed].revents;
-      if ((re & (POLLERR | POLLNVAL)) != 0) c.dead = true;
-      if (!c.dead && (re & (POLLIN | POLLHUP)) != 0) read_ready(c);
-      if (!c.dead && c.streaming) pump_stream(c);
-      if (!c.dead && c.out_off < c.out.size()) flush_out(c);
-      if (!c.dead && !c.responded && now > c.read_deadline) c.dead = true;
-      if (!c.dead && c.responded && !c.streaming &&
-          c.out_off < c.out.size() && now > c.flush_deadline) {
-        c.dead = true;
-      }
-    }
-
-    // Reap closed connections.
-    for (std::size_t i = conns_.size(); i-- > 0;) {
-      Conn* c = conns_[i];
-      if (!c->dead) continue;
-      if (c->streaming) m_sse_clients_.add(-1);
-      m_open_conns_.add(-1);
-      ::close(c->fd);
-      delete c;
-      conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-
-    if ((pfds[0].revents & POLLIN) != 0) accept_ready();
-  }
-
-  for (Conn* c : conns_) {
-    if (c->streaming) m_sse_clients_.add(-1);
-    m_open_conns_.add(-1);
-    ::close(c->fd);
-    delete c;
-  }
-  conns_.clear();
+void HttpServer::on_open(ConnId id) {
+  conns_[id].deadline = Clock::now() + kRequestTimeout;
+  m_open_conns_.add(1);
 }
 
-void HttpServer::accept_ready() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) break;
-    if (conns_.size() >= kMaxConnections || !set_nonblocking(fd)) {
-      ::close(fd);
-      continue;
+void HttpServer::on_close(ConnId id, netbase::Reactor::Closed why) {
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) return;
+  if (why == netbase::Reactor::Closed::kOverflow) {
+    // Slow-client eviction: the subscriber is not draining its socket
+    // and its backlog passed the bound.
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    m_evictions_.inc();
+    Journal& journal = Journal::global();
+    if (journal.enabled(kCatLive)) {
+      JournalEvent ev;
+      ev.type = JournalEventType::kLiveClientEvicted;
+      ev.time = static_cast<netbase::TimePoint>(std::time(nullptr));
+      ev.a = static_cast<std::int64_t>(reactor_->unsent(id));
+      journal.emit_runtime(kCatLive, ev);
     }
-    auto* c = new Conn;
-    c->fd = fd;
-    c->read_deadline =
-        Clock::now() + std::chrono::milliseconds(kRequestTimeoutMs);
-    conns_.push_back(c);
-    m_open_conns_.add(1);
   }
+  if (it->second.streaming) m_sse_clients_.add(-1);
+  m_open_conns_.add(-1);
+  conns_.erase(it);
 }
 
-void HttpServer::read_ready(Conn& c) {
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      if (!c.responded) {
-        c.in.append(buf, static_cast<std::size_t>(n));
-        if (c.in.size() > kMaxRequestBytes) {
-          c.dead = true;
-          return;
-        }
-      }
-      // Bytes after the routed request are ignored (Connection: close).
-      continue;
-    }
-    if (n == 0) {
-      // Orderly close from the client. A streaming subscriber is gone;
-      // a plain response still in flight may finish draining (bounded
-      // by the flush deadline).
-      if (!c.responded || c.streaming || c.out_off >= c.out.size()) {
-        c.dead = true;
-      }
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    c.dead = true;
+void HttpServer::on_data(ConnId id, std::string_view bytes) {
+  const auto it = conns_.find(id);
+  // Bytes after the routed request are ignored (Connection: close).
+  if (it == conns_.end() || it->second.responded) return;
+  Conn& c = it->second;
+  c.in.append(bytes);
+  if (c.in.size() > kMaxRequestBytes) {
+    reactor_->close(id);
     return;
   }
-  if (c.responded) return;
-
-  const std::size_t head_end = c.in.find("\r\n\r\n");
-  if (head_end == std::string::npos) return;
+  if (c.in.find("\r\n\r\n") == std::string::npos) return;
 
   // Request line: METHOD SP TARGET SP VERSION
-  const std::size_t line_end = c.in.find("\r\n");
-  std::string_view line(c.in.data(), line_end);
+  const std::string_view line(c.in.data(), c.in.find("\r\n"));
   const std::size_t sp1 = line.find(' ');
-  if (sp1 == std::string_view::npos) {
-    c.dead = true;
-    return;
-  }
-  const std::size_t sp2 = line.find(' ', sp1 + 1);
+  const std::size_t sp2 =
+      sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
   if (sp2 == std::string_view::npos) {
-    c.dead = true;
+    reactor_->close(id);
     return;
   }
-  const std::string_view method = line.substr(0, sp1);
-  const std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-  dispatch(c, method, target);
+  dispatch(id, c, line.substr(0, sp1), line.substr(sp1 + 1, sp2 - sp1 - 1));
   c.in.clear();
 }
 
-void HttpServer::dispatch(Conn& c, std::string_view method,
+HttpServer::Clock::time_point HttpServer::on_turn(Clock::time_point now) {
+  Clock::time_point next = Clock::time_point::max();
+  for (auto& [id, c] : conns_) {
+    if (c.streaming) {
+      pump_stream(id, c, now);
+      next = std::min(next, c.last_beat + std::chrono::milliseconds(heartbeat_ms_));
+      continue;
+    }
+    // The reactor closes a response's connection once it is out.
+    if (now >= c.deadline) {
+      reactor_->close(id);
+    } else {
+      next = std::min(next, c.deadline);
+    }
+  }
+  return next;
+}
+
+void HttpServer::dispatch(ConnId id, Conn& c, std::string_view method,
                           std::string_view target) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   m_requests_.inc();
   c.responded = true;
+  c.deadline = Clock::now() + kFlushTimeout;
 
   // HEAD is GET without the body: route identically, keep the
   // Content-Length the GET would have had, send no payload.
@@ -603,33 +454,32 @@ void HttpServer::dispatch(Conn& c, std::string_view method,
       eff_method == "GET") {
     if (is_head) {
       // Headers only; no subscription is created.
-      c.out +=
-          "HTTP/1.1 200 OK\r\n"
-          "Content-Type: text/event-stream\r\n"
-          "Cache-Control: no-cache\r\n"
-          "Connection: close\r\n\r\n";
-      flush_out(c);
+      reactor_->finish(id,
+                       "HTTP/1.1 200 OK\r\n"
+                       "Content-Type: text/event-stream\r\n"
+                       "Cache-Control: no-cache\r\n"
+                       "Connection: close\r\n\r\n");
       return;
     }
     // SSE subscription: chunked stream, one chunk per frame/heartbeat.
-    c.out +=
-        "HTTP/1.1 200 OK\r\n"
-        "Content-Type: text/event-stream\r\n"
-        "Cache-Control: no-cache\r\n"
-        "Transfer-Encoding: chunked\r\n"
-        "Connection: close\r\n\r\n";
     c.streaming = true;
     c.channel = matched->channel;
     // ?since=SEQ replays retained frames from SEQ (0 = everything
     // retained); without the parameter a subscriber starts at head —
-    // only events published after subscription.
+    // only events published after subscription. The cursor is taken
+    // before the head goes out: a client may publish-after-headers.
     c.cursor = query_string(target, "since").empty()
                    ? c.channel->head()
                    : query_uint(target, "since", 0);
     c.last_beat = Clock::now();
     m_sse_clients_.add(1);
-    pump_stream(c);
-    flush_out(c);
+    reactor_->send(id,
+                   "HTTP/1.1 200 OK\r\n"
+                   "Content-Type: text/event-stream\r\n"
+                   "Cache-Control: no-cache\r\n"
+                   "Transfer-Encoding: chunked\r\n"
+                   "Connection: close\r\n\r\n");
+    pump_stream(id, c, c.last_beat);
     return;
   }
 
@@ -647,45 +497,27 @@ void HttpServer::dispatch(Conn& c, std::string_view method,
     response = route(eff_method, target);
   }
 
-  std::string head = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                     std::string(status_text(response.status)) + "\r\n";
-  head += "Content-Type: " + response.content_type + "\r\n";
-  head += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
-  if (!response.etag.empty()) head += "ETag: \"" + response.etag + "\"\r\n";
-  head += "Connection: close\r\n\r\n";
-  c.out += head;
-  if (!is_head) c.out += response.body;
-  c.flush_deadline = Clock::now() + std::chrono::milliseconds(kFlushTimeoutMs);
-  flush_out(c);
+  std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
+                    std::string(status_text(response.status)) + "\r\n";
+  out += "Content-Type: " + response.content_type + "\r\n";
+  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
+  if (!response.etag.empty()) out += "ETag: \"" + response.etag + "\"\r\n";
+  out += "Connection: close\r\n\r\n";
+  if (!is_head) out += response.body;
+  reactor_->finish(id, out);
 }
 
-void HttpServer::pump_stream(Conn& c) {
+void HttpServer::pump_stream(ConnId id, Conn& c, Clock::time_point now) {
+  // A subscriber whose backlog passes max_client_buffer() is evicted by
+  // the reactor (on_close with kOverflow).
   std::string fresh;
   c.cursor = c.channel->collect(c.cursor, fresh);
-  const Clock::time_point now = Clock::now();
   if (!fresh.empty()) {
-    c.out += chunk(fresh);
+    reactor_->send(id, chunk(fresh));
     c.last_beat = now;
-  } else if (now - c.last_beat >=
-             std::chrono::milliseconds(heartbeat_ms_)) {
-    c.out += chunk(": hb\n\n");
+  } else if (now - c.last_beat >= std::chrono::milliseconds(heartbeat_ms_)) {
+    reactor_->send(id, chunk(": hb\n\n"));
     c.last_beat = now;
-  }
-  const std::size_t backlog = c.out.size() - c.out_off;
-  if (backlog > max_client_buffer_) {
-    // Slow-client eviction: the subscriber is not draining its socket
-    // and its backlog passed the bound; drop it rather than grow.
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    m_evictions_.inc();
-    Journal& journal = Journal::global();
-    if (journal.enabled(kCatLive)) {
-      JournalEvent ev;
-      ev.type = JournalEventType::kLiveClientEvicted;
-      ev.time = static_cast<netbase::TimePoint>(std::time(nullptr));
-      ev.a = static_cast<std::int64_t>(backlog);
-      journal.emit_runtime(kCatLive, ev);
-    }
-    c.dead = true;
   }
 }
 
@@ -721,33 +553,6 @@ std::string HttpServer::index_json() const {
   }
   body += "]}\n";
   return body;
-}
-
-void HttpServer::flush_out(Conn& c) {
-  while (c.out_off < c.out.size()) {
-    const ssize_t n = ::send(c.fd, c.out.data() + c.out_off,
-                             c.out.size() - c.out_off, MSG_NOSIGNAL);
-    if (n > 0) {
-      c.out_off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    c.dead = true;
-    return;
-  }
-  if (c.out_off == c.out.size()) {
-    c.out.clear();
-    c.out_off = 0;
-    if (c.responded && !c.streaming) {
-      // Response fully flushed: half-close so the client sees EOF.
-      ::shutdown(c.fd, SHUT_WR);
-      c.dead = true;
-    }
-  } else if (c.out_off > 65536) {
-    c.out.erase(0, c.out_off);
-    c.out_off = 0;
-  }
 }
 
 }  // namespace zombiescope::obs

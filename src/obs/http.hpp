@@ -30,17 +30,19 @@
 // /live/zombies and /live/stats), add_stream() for Server-Sent-Events
 // endpoints backed by an SseChannel (zslive's /live/events).
 //
-// The serving loop multiplexes every connection over one poll() set
-// with non-blocking sockets and per-connection output buffers, so one
-// slow or dead client can never head-of-line-block a /metrics scrape
-// or starve the other SSE subscribers. Two policies bound a client's
-// footprint:
+// Connections run on one netbase::Reactor (non-blocking sockets, one
+// poll loop, per-connection output buffers), so one slow or dead client
+// can never head-of-line-block a /metrics scrape or starve the other
+// SSE subscribers. Three policies bound a client's footprint:
+//   * at most netbase::kMaxConnections (64) connections; more are
+//     closed at accept;
 //   * streaming clients whose unsent backlog exceeds
 //     max_client_buffer() are evicted (counted in
 //     zs_http_slow_clients_evicted_total and journalled as
 //     live_client_evicted);
-//   * non-streaming responses get a flush deadline; a client that
-//     stops reading is closed when it expires.
+//   * a request head must arrive within 2 s and fit in 8 KiB, and a
+//     non-streaming response must drain within 30 s; a client that
+//     misses either is closed.
 //
 // This is an operator port for a measurement tool, not a web server:
 // bodies are ignored, HEAD is answered with the GET's headers and no
@@ -56,12 +58,15 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "netbase/reactor.hpp"
 #include "obs/metrics.hpp"
 
 namespace zombiescope::obs {
@@ -125,12 +130,10 @@ class SseChannel {
   /// (?since=SEQ) report their true, large staleness.
   void set_latency_sink(std::function<void(std::uint64_t ns)> sink);
 
-  /// Self-pipe wakeup: publish() writes one byte to `fd` so a poll()ing
-  /// server wakes immediately instead of on its next pump interval.
-  /// The server installs its pipe on start() and removes it (-1) on
-  /// stop(); the fd is not owned. A full pipe is fine — a wakeup is
-  /// already pending.
-  void set_wakeup_fd(int fd);
+  /// publish() wakes `reactor` so the serving loop delivers the frame
+  /// at once. The server installs its reactor on start() and removes it
+  /// (nullptr) on stop(); it is not owned.
+  void set_waker(netbase::Reactor* reactor);
 
   /// Pure SSE wire framing of one event (exposed for tests):
   ///   event: <name>\n
@@ -153,10 +156,10 @@ class SseChannel {
   std::size_t max_frames_;
   std::atomic<std::uint64_t> published_{0};
   std::function<void(std::uint64_t)> latency_sink_;
-  int wake_fd_ = -1;  // guarded by mutex_
+  netbase::Reactor* waker_ = nullptr;  // guarded by mutex_
 };
 
-class HttpServer {
+class HttpServer : private netbase::Reactor::Handler {
  public:
   using Handler = std::function<HttpResponse(std::string_view target)>;
 
@@ -176,15 +179,8 @@ class HttpServer {
 
   /// Comment-frame keepalive cadence for streaming connections.
   void set_heartbeat_interval_ms(int ms) { heartbeat_ms_ = ms; }
-  /// Fallback poll interval while SSE clients are connected. Frame
-  /// delivery is event-driven (each publish() wakes the loop through a
-  /// self-pipe), so this only bounds heartbeat/eviction latency — it
-  /// is no longer the frame-delivery floor.
-  void set_stream_poll_interval_ms(int ms) {
-    stream_poll_ms_ = ms < 1 ? 1 : ms;
-  }
-  int stream_poll_interval_ms() const { return stream_poll_ms_; }
   /// Unsent-backlog bound above which a streaming client is evicted.
+  /// Must be called before start().
   void set_max_client_buffer(std::size_t bytes) { max_client_buffer_ = bytes; }
   std::size_t max_client_buffer() const { return max_client_buffer_; }
 
@@ -197,9 +193,9 @@ class HttpServer {
   /// connection. Idempotent.
   void stop();
 
-  bool running() const { return listen_fd_ >= 0; }
+  bool running() const { return reactor_ != nullptr; }
   /// The bound port (the real one when started with port 0).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return reactor_ ? reactor_->port() : 0; }
   std::uint64_t requests_served() const {
     return requests_.load(std::memory_order_relaxed);
   }
@@ -208,39 +204,47 @@ class HttpServer {
   }
 
  private:
-  struct Conn;
+  using ConnId = netbase::Reactor::ConnId;
+  using Clock = netbase::Reactor::Clock;
+  struct Conn {
+    std::string in;
+    bool responded = false;  // request routed, response or stream head queued
+    bool streaming = false;
+    SseChannel* channel = nullptr;
+    std::uint64_t cursor = 0;
+    // For the request head to arrive, then for a response to drain.
+    Clock::time_point deadline{};
+    Clock::time_point last_beat{};
+  };
   struct Route {
     Handler handler;        // non-streaming endpoint
     SseChannel* channel = nullptr;  // streaming endpoint
   };
 
-  void serve_loop();
-  void accept_ready();
-  void read_ready(Conn& conn);
-  void dispatch(Conn& conn, std::string_view method, std::string_view target);
-  void pump_stream(Conn& conn);
-  void flush_out(Conn& conn);
+  void on_open(ConnId id) override;
+  void on_data(ConnId id, std::string_view bytes) override;
+  void on_close(ConnId id, netbase::Reactor::Closed why) override;
+  Clock::time_point on_turn(Clock::time_point now) override;
+
+  void dispatch(ConnId id, Conn& conn, std::string_view method,
+                std::string_view target);
+  void pump_stream(ConnId id, Conn& conn, Clock::time_point now);
   /// {"endpoints":[{"path":...,"stream":bool},...]} — built-ins plus
   /// everything registered, served on GET /.
   std::string index_json() const;
 
-  int listen_fd_ = -1;
-  int wake_rd_ = -1;  // self-pipe the SSE channels write to on publish
-  int wake_wr_ = -1;
-  std::uint16_t port_ = 0;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> evictions_{0};
   int heartbeat_ms_ = 10'000;
-  int stream_poll_ms_ = 100;
-  std::size_t max_client_buffer_ = 256 * 1024;
+  std::size_t max_client_buffer_ = netbase::Reactor::kDefaultMaxOutput;
   std::vector<std::pair<std::string, Route>> routes_;
-  std::vector<Conn*> conns_;
+  std::unordered_map<ConnId, Conn> conns_;  // serving thread only
   Counter m_requests_;
   Counter m_evictions_;
   Gauge m_open_conns_;
   Gauge m_sse_clients_;
+  std::unique_ptr<netbase::Reactor> reactor_;
+  std::thread thread_;
 };
 
 }  // namespace zombiescope::obs

@@ -1,19 +1,13 @@
 #include "wire/bridge.hpp"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <stdexcept>
 
 #include "netbase/bytes.hpp"
+#include "netbase/reactor.hpp"
 #include "wire/message.hpp"
 
 namespace zombiescope::wire {
@@ -119,38 +113,18 @@ std::vector<bgp::UpdateMessage> split_update(bgp::UpdateMessage update) {
 }
 
 int wire_connect(const std::string& host, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw std::runtime_error("bridge: socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::runtime_error("bridge: bad host " + host);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
+  const int fd = netbase::connect_tcp(host, port);
+  if (fd < 0)
     throw std::runtime_error("bridge: connect to " + host + ":" +
                              std::to_string(port) + " failed");
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
 }
 
 namespace {
 
-void send_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::send(fd, data + off, size - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
+void send_message(int fd, const std::vector<std::uint8_t>& wire) {
+  if (!netbase::send_all(fd, netbase::as_chars(wire)))
     throw std::runtime_error("bridge: send failed");
-  }
 }
 
 /// Blocking read of the next complete BGP message.
@@ -158,14 +132,10 @@ std::vector<std::uint8_t> read_message(int fd, FrameReader& reader) {
   for (;;) {
     if (auto frame = reader.next()) return std::move(*frame);
     char buf[4096];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      reader.append(reinterpret_cast<const std::uint8_t*>(buf),
-                    static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    throw std::runtime_error("bridge: peer closed during handshake");
+    const std::ptrdiff_t n = netbase::recv_some(fd, buf, sizeof(buf));
+    if (n <= 0) throw std::runtime_error("bridge: peer closed during handshake");
+    reader.append(reinterpret_cast<const std::uint8_t*>(buf),
+                  static_cast<std::size_t>(n));
   }
 }
 
@@ -182,8 +152,7 @@ void wire_handshake(int fd, std::uint32_t asn, std::uint32_t bgp_id,
   open.cap_four_octet_asn = true;
   open.multiprotocol = {{1, 1}, {2, 1}};
   open.bridge_peer_address = logical_address;
-  const auto open_wire = open.encode();
-  send_all(fd, open_wire.data(), open_wire.size());
+  send_message(fd, open.encode());
 
   FrameReader reader;
   bool saw_open = false;
@@ -196,8 +165,7 @@ void wire_handshake(int fd, std::uint32_t asn, std::uint32_t bgp_id,
       OpenMessage::decode(frame);  // validate; contents are not needed
       saw_open = true;
       if (!keepalive_sent) {
-        const auto ka = encode_keepalive();
-        send_all(fd, ka.data(), ka.size());
+        send_message(fd, encode_keepalive());
         keepalive_sent = true;
       }
     } else if (header.type == bgp::MessageType::kKeepalive) {
@@ -214,20 +182,14 @@ BridgeStats replay_over_wire(std::span<const mrt::MrtRecord> records,
                              const BridgeOptions& options) {
   BridgeStats stats;
 
-  struct PeerSession {
-    int fd = -1;
-    FrameReader reader;  // inbound KEEPALIVEs etc., drained and ignored
-  };
   using PeerKey = std::pair<std::uint32_t, netbase::IpAddress>;
-  std::map<PeerKey, PeerSession> sessions;
+  std::map<PeerKey, int> sessions;  // one blocking socket per peer
 
-  auto session_for = [&](std::uint32_t asn, const netbase::IpAddress& address)
-      -> PeerSession& {
+  auto session_for = [&](std::uint32_t asn, const netbase::IpAddress& address) {
     const PeerKey key{asn, address};
     auto it = sessions.find(key);
     if (it != sessions.end()) return it->second;
-    PeerSession session;
-    session.fd = wire_connect(host, port);
+    const int fd = wire_connect(host, port);
     // BGP ID derived from the logical address so collisions resolve
     // deterministically across bridge sessions.
     std::uint32_t bgp_id = 0;
@@ -235,47 +197,22 @@ BridgeStats replay_over_wire(std::span<const mrt::MrtRecord> records,
     for (int i = 0; i < address.byte_length(); ++i)
       bgp_id = bgp_id * 31 + bytes[static_cast<std::size_t>(i)];
     if (bgp_id == 0) bgp_id = 1;
-    wire_handshake(session.fd, asn == 0 ? options.fallback_asn : asn, bgp_id,
-                   options.hold_time, address);
-    ++stats.sessions;
-    ::fcntl(session.fd, F_SETFL, O_NONBLOCK);
-    return sessions.emplace(key, std::move(session)).first->second;
-  };
-
-  auto drain_inbound = [](PeerSession& session) {
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = ::recv(session.fd, buf, sizeof(buf), 0);
-      if (n > 0) {
-        session.reader.append(reinterpret_cast<const std::uint8_t*>(buf),
-                              static_cast<std::size_t>(n));
-        continue;
-      }
-      break;  // EAGAIN / closed: replay keeps pushing either way
-    }
     try {
-      while (session.reader.next().has_value()) {
-      }
-    } catch (const WireError&) {
+      wire_handshake(fd, asn == 0 ? options.fallback_asn : asn, bgp_id,
+                     options.hold_time, address);
+    } catch (...) {
+      ::close(fd);
+      throw;
     }
+    ++stats.sessions;
+    return sessions.emplace(key, fd).first->second;
   };
 
-  auto send_blocking = [&](PeerSession& session, const std::vector<std::uint8_t>& wire) {
-    std::size_t off = 0;
-    while (off < wire.size()) {
-      const ssize_t n = ::send(session.fd, wire.data() + off, wire.size() - off,
-                               MSG_NOSIGNAL);
-      if (n > 0) {
-        off += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        drain_inbound(session);  // let the collector's KEEPALIVEs through
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      throw std::runtime_error("bridge: send failed mid-replay");
-    }
+  // One blocking write per message. The collector never blocks on this
+  // client (its loop is non-blocking), so the writes cannot deadlock;
+  // its KEEPALIVEs wait in the receive buffer until the close.
+  auto send_blocking = [&](int fd, const std::vector<std::uint8_t>& wire) {
+    send_message(fd, wire);
     stats.bytes_sent += wire.size();
     ++stats.messages_sent;
   };
@@ -283,24 +220,24 @@ BridgeStats replay_over_wire(std::span<const mrt::MrtRecord> records,
   std::uint64_t sequence = 0;
   for (const mrt::MrtRecord& record : records) {
     if (const auto* message = std::get_if<mrt::Bgp4mpMessage>(&record)) {
-      PeerSession& session = session_for(message->peer_asn, message->peer_address);
+      const int fd = session_for(message->peer_asn, message->peer_address);
       auto parts = split_update(message->update);
       if (parts.size() > 1) ++stats.splits;
       for (bgp::UpdateMessage& part : parts) {
         if (options.stamp)
           stamp_update(part, BridgeStamp{message->timestamp, sequence});
         ++sequence;
-        send_blocking(session, encode_update(part));
+        send_blocking(fd, encode_update(part));
         ++stats.updates_sent;
       }
     } else if (const auto* change = std::get_if<mrt::Bgp4mpStateChange>(&record)) {
-      PeerSession& session = session_for(change->peer_asn, change->peer_address);
+      const int fd = session_for(change->peer_asn, change->peer_address);
       bgp::UpdateMessage update = make_state_update(
           static_cast<std::uint16_t>(change->old_state),
           static_cast<std::uint16_t>(change->new_state),
           BridgeStamp{change->timestamp, sequence});
       ++sequence;
-      send_blocking(session, encode_update(update));
+      send_blocking(fd, encode_update(update));
       ++stats.state_changes_sent;
     }
     // PeerIndexTable / RibEntryRecord carry no per-message wire form.
@@ -310,12 +247,18 @@ BridgeStats replay_over_wire(std::span<const mrt::MrtRecord> records,
   goodbye.code = NotifyCode::kCease;
   goodbye.subcode = kCeaseAdminShutdown;
   const auto goodbye_wire = goodbye.encode();
-  for (auto& [key, session] : sessions) {
+  for (const auto& [key, fd] : sessions) {
+    // Read what the collector sent first: closing a socket with unread
+    // input resets the connection, which can discard output not yet
+    // delivered.
+    char buf[4096];
+    while (netbase::recv_some(fd, buf, sizeof(buf), /*wait=*/false) > 0) {
+    }
     try {
-      send_blocking(session, goodbye_wire);
+      send_blocking(fd, goodbye_wire);
     } catch (const std::runtime_error&) {
     }
-    ::close(session.fd);
+    ::close(fd);
   }
   return stats;
 }

@@ -429,22 +429,27 @@ bgp::UpdateMessage decode_update(std::span<const std::uint8_t> wire) {
 // --- FrameReader -----------------------------------------------------
 
 void FrameReader::append(std::span<const std::uint8_t> bytes) {
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+  append(bytes.data(), bytes.size());
 }
 
 void FrameReader::append(const std::uint8_t* data, std::size_t size) {
+  // Compact once per append, not once per frame: next() only advances
+  // the read offset, so framing a buffer of n messages stays linear.
+  buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(offset_));
+  offset_ = 0;
   buffer_.insert(buffer_.end(), data, data + size);
 }
 
 std::optional<std::vector<std::uint8_t>> FrameReader::next() {
-  if (buffer_.size() < kHeaderSize) return std::nullopt;
+  const std::span<const std::uint8_t> pending =
+      std::span<const std::uint8_t>(buffer_).subspan(offset_);
+  if (pending.size() < kHeaderSize) return std::nullopt;
   // Validates marker/length/type as soon as the header is in; a bogus
   // header fails here rather than stalling on a nonsense length.
-  const MessageHeader header = decode_header(buffer_);
-  if (buffer_.size() < header.length) return std::nullopt;
-  std::vector<std::uint8_t> message(buffer_.begin(), buffer_.begin() + header.length);
-  buffer_.erase(buffer_.begin(), buffer_.begin() + header.length);
-  return message;
+  const MessageHeader header = decode_header(pending);
+  if (pending.size() < header.length) return std::nullopt;
+  offset_ += header.length;
+  return std::vector<std::uint8_t>(pending.begin(), pending.begin() + header.length);
 }
 
 }  // namespace zombiescope::wire

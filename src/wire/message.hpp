@@ -221,10 +221,11 @@ class FrameReader {
   /// are needed. Throws WireError on a malformed header.
   std::optional<std::vector<std::uint8_t>> next();
 
-  std::size_t buffered() const { return buffer_.size(); }
+  std::size_t buffered() const { return buffer_.size() - offset_; }
 
  private:
   std::vector<std::uint8_t> buffer_;
+  std::size_t offset_ = 0;  // bytes of buffer_ already returned by next()
 };
 
 }  // namespace zombiescope::wire

@@ -1,16 +1,6 @@
 #include "wire/speaker.hpp"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -48,24 +38,6 @@ bgp::SessionState mrt_state(bgp::FsmState state) {
       return bgp::SessionState::kEstablished;
   }
   return bgp::SessionState::kIdle;
-}
-
-netbase::IpAddress peer_socket_address(int fd) {
-  sockaddr_storage ss{};
-  socklen_t len = sizeof(ss);
-  if (::getpeername(fd, reinterpret_cast<sockaddr*>(&ss), &len) == 0) {
-    if (ss.ss_family == AF_INET) {
-      const auto* sin = reinterpret_cast<const sockaddr_in*>(&ss);
-      return netbase::IpAddress::v4(ntohl(sin->sin_addr.s_addr));
-    }
-    if (ss.ss_family == AF_INET6) {
-      const auto* sin6 = reinterpret_cast<const sockaddr_in6*>(&ss);
-      std::array<std::uint8_t, 16> b{};
-      std::memcpy(b.data(), sin6->sin6_addr.s6_addr, 16);
-      return netbase::IpAddress::v6(b);
-    }
-  }
-  return netbase::IpAddress::v4(0);
 }
 
 struct WireMetrics {
@@ -131,8 +103,7 @@ struct BgpSpeaker::Session {
                    const RetentionConfig& retention_config)
       : fsm(fsm_config), retention(retention_config) {}
 
-  std::uint64_t id = 0;
-  int fd = -1;
+  ConnId id = 0;
   bool passive = true;
   bool connecting = false;  // non-blocking connect still in flight
   std::size_t active_index = static_cast<std::size_t>(-1);
@@ -144,9 +115,6 @@ struct BgpSpeaker::Session {
   bool was_established = false;
 
   FrameReader reader;
-  std::vector<std::uint8_t> out;
-  std::size_t out_off = 0;
-  std::optional<netbase::TimePoint> send_hold_deadline;
 
   std::optional<OpenMessage> peer_open;
   netbase::IpAddress socket_address;
@@ -171,46 +139,25 @@ struct BgpSpeaker::ActivePeer {
   std::string host;
   std::uint16_t port = 0;
   netbase::TimePoint next_attempt = 0;
-  std::uint64_t session_id = 0;  // 0 = not dialed
-  int seen_retries = 0;
+  ConnId session_id = 0;  // 0 = not dialed
 };
 
 // --- construction ----------------------------------------------------
 
 BgpSpeaker::BgpSpeaker(SpeakerConfig config, bool listen, std::uint16_t port)
     : config_(config) {
-  if (!listen) return;
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw std::runtime_error("zswire: socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd_, 16) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("zswire: cannot bind BGP port " +
-                             std::to_string(port));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  ::fcntl(listen_fd_, F_SETFL, O_NONBLOCK);
+  if (listen && !reactor_.listen(port))
+    throw std::runtime_error("zswire: cannot bind BGP port " + std::to_string(port));
 }
 
-BgpSpeaker::~BgpSpeaker() {
-  for (auto& session : sessions_) {
-    if (session->fd >= 0) ::close(session->fd);
-  }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-}
+BgpSpeaker::~BgpSpeaker() = default;
 
 void BgpSpeaker::connect_to(const std::string& host, std::uint16_t port) {
-  std::lock_guard<std::mutex> lock(active_mutex_);
-  active_peers_.push_back(ActivePeer{host, port, 0, 0, 0});
+  {
+    std::lock_guard<std::mutex> lock(active_mutex_);
+    active_peers_.push_back(ActivePeer{host, port, 0, 0});
+  }
+  reactor_.wake();  // dial now, not at the loop's next deadline
 }
 
 netbase::TimePoint BgpSpeaker::wall_now() const { return steady_seconds(); }
@@ -251,17 +198,32 @@ std::vector<std::uint8_t> BgpSpeaker::encode_local_open() const {
   return open.encode();
 }
 
-// --- the poll loop ---------------------------------------------------
+BgpSpeaker::Session* BgpSpeaker::find_session(ConnId id) {
+  for (const auto& session : sessions_)
+    if (session->id == id && !session->dead) return session.get();
+  return nullptr;
+}
+
+std::unique_ptr<BgpSpeaker::Session> BgpSpeaker::new_session(ConnId id,
+                                                             bool passive) const {
+  bgp::FsmConfig fsm_config;
+  fsm_config.hold_time = config_.hold_time;
+  fsm_config.keepalive_interval = config_.keepalive_interval;
+  fsm_config.send_hold_time = config_.send_hold_time;
+  if (!passive) fsm_config.connect_retry = config_.connect_retry;
+  auto session = std::make_unique<Session>(fsm_config, config_.retention);
+  session->id = id;
+  session->passive = passive;
+  WireMetrics::get().sessions_opened.inc();
+  return session;
+}
+
+// --- the session loop ------------------------------------------------
 
 void BgpSpeaker::run() {
-  while (!stop_.load(std::memory_order_relaxed)) poll_once(50);
-  // Graceful exit: tell every peer we are going away.
-  const netbase::TimePoint now = wall_now();
-  for (auto& session : sessions_) {
-    if (session->fd < 0 || session->dead) continue;
-    send_notification(*session, NotifyCode::kCease, kCeaseAdminShutdown, now);
-    teardown(*session, "administrative stop", now);
-  }
+  // On stop the reactor ends every session through on_close(kStopped),
+  // which says goodbye.
+  reactor_.run(*this);
   std::erase_if(sessions_, [](const auto& s) { return s->dead; });
   rebuild_snapshot();
 }
@@ -271,120 +233,81 @@ void BgpSpeaker::dial_due_peers(netbase::TimePoint now) {
   for (std::size_t i = 0; i < active_peers_.size(); ++i) {
     ActivePeer& peer = active_peers_[i];
     if (peer.session_id != 0 || now < peer.next_attempt) continue;
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
+    const ConnId id = reactor_.dial(peer.host, peer.port);
+    if (id == 0) {
       peer.next_attempt = now + std::max<netbase::Duration>(config_.connect_retry, 1);
       continue;
     }
-    ::fcntl(fd, F_SETFL, O_NONBLOCK);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(peer.port);
-    if (::inet_pton(AF_INET, peer.host.c_str(), &addr.sin_addr) != 1) {
-      ::close(fd);
-      peer.next_attempt = now + std::max<netbase::Duration>(config_.connect_retry, 1);
-      continue;
-    }
-    const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-    if (rc < 0 && errno != EINPROGRESS) {
-      ::close(fd);
-      peer.next_attempt = now + std::max<netbase::Duration>(config_.connect_retry, 1);
-      continue;
-    }
-    bgp::FsmConfig fsm_config;
-    fsm_config.hold_time = config_.hold_time;
-    fsm_config.keepalive_interval = config_.keepalive_interval;
-    fsm_config.send_hold_time = config_.send_hold_time;
-    fsm_config.connect_retry = config_.connect_retry;
-    auto session = std::make_unique<Session>(fsm_config, config_.retention);
-    session->id = next_session_id_++;
-    session->fd = fd;
-    session->passive = false;
-    session->connecting = rc < 0;  // EINPROGRESS
+    auto session = new_session(id, /*passive=*/false);
+    session->connecting = true;
     session->active_index = i;
     session->last_event = "dialing " + peer.host + ":" + std::to_string(peer.port);
     session->fsm.start(now);
-    if (!session->connecting) {
-      session->socket_address = peer_socket_address(fd);
-      session->logical_address = session->socket_address;
-      session->fsm.connected(now);
-    }
-    peer.session_id = session->id;
-    peer.seen_retries = 0;
-    WireMetrics::get().sessions_opened.inc();
+    peer.session_id = id;
     sessions_.push_back(std::move(session));
   }
 }
 
-void BgpSpeaker::poll_once(int timeout_ms) {
+void BgpSpeaker::on_open(ConnId id) {
   const netbase::TimePoint now = wall_now();
+  Session* session = find_session(id);
+  if (session == nullptr) {  // accepted
+    sessions_.push_back(new_session(id, /*passive=*/true));
+    session = sessions_.back().get();
+    session->fsm.start(now);
+  } else {  // our dial connected
+    session->connecting = false;
+    session->last_event = "connected";
+  }
+  session->socket_address = reactor_.peer_address(id);
+  session->logical_address = session->socket_address;
+  session->fsm.connected(now);
+}
+
+void BgpSpeaker::on_data(ConnId id, std::string_view bytes) {
+  Session* session = find_session(id);
+  if (session == nullptr) return;
+  session->reader.append(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                         bytes.size());
+  const netbase::TimePoint now = wall_now();
+  try {
+    while (auto frame = session->reader.next()) {
+      const auto ingest = std::chrono::steady_clock::now();
+      handle_frame(*session, std::move(*frame), now, ingest);
+      if (session->dead) return;
+    }
+  } catch (const WireError& e) {
+    WireMetrics::get().decode_errors.inc();
+    send_notification(*session, e.code(), e.subcode());
+    teardown(*session, std::string("decode error: ") + e.what(), now);
+  } catch (const netbase::DecodeError& e) {
+    WireMetrics::get().decode_errors.inc();
+    send_notification(*session, NotifyCode::kMessageHeaderError, 0);
+    teardown(*session, std::string("decode error: ") + e.what(), now);
+  }
+}
+
+void BgpSpeaker::on_close(ConnId id, netbase::Reactor::Closed why) {
+  using Closed = netbase::Reactor::Closed;
+  Session* session = find_session(id);
+  if (session == nullptr) return;  // already torn down
+  if (why == Closed::kStopped) {
+    // Graceful exit: tell the peer we are going away.
+    send_notification(*session, NotifyCode::kCease, kCeaseAdminShutdown);
+    teardown(*session, "administrative stop", wall_now());
+  } else {
+    teardown(*session, why == Closed::kConnectFailed ? "connect failed"
+                       : why == Closed::kOverflow    ? "send buffer overflow"
+                                                     : "connection closed by peer",
+             wall_now());
+  }
+}
+
+BgpSpeaker::Clock::time_point BgpSpeaker::on_turn(Clock::time_point clock_now) {
+  const auto now = std::chrono::duration_cast<std::chrono::seconds>(
+                       clock_now.time_since_epoch())
+                       .count();
   dial_due_peers(now);
-
-  std::vector<pollfd> pfds;
-  pfds.reserve(sessions_.size() + 1);
-  const bool have_listener = listen_fd_ >= 0;
-  if (have_listener) pfds.push_back({listen_fd_, POLLIN, 0});
-  for (const auto& session : sessions_) {
-    short events = 0;
-    if (session->connecting) {
-      events = POLLOUT;
-    } else {
-      events = POLLIN;
-      if (session->out_off < session->out.size()) events |= POLLOUT;
-    }
-    pfds.push_back({session->fd, events, 0});
-  }
-  ::poll(pfds.data(), pfds.size(), timeout_ms);
-
-  const std::size_t base = have_listener ? 1 : 0;
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    Session& session = *sessions_[i];
-    const short revents = pfds[base + i].revents;
-    if (session.dead) continue;
-    if (session.connecting) {
-      if ((revents & (POLLOUT | POLLERR | POLLHUP)) == 0) continue;
-      int err = 0;
-      socklen_t err_len = sizeof(err);
-      ::getsockopt(session.fd, SOL_SOCKET, SO_ERROR, &err, &err_len);
-      if (err != 0 || (revents & (POLLERR | POLLHUP)) != 0) {
-        teardown(session, "connect failed", now);
-        continue;
-      }
-      session.connecting = false;
-      session.socket_address = peer_socket_address(session.fd);
-      session.logical_address = session.socket_address;
-      session.fsm.connected(now);
-      session.last_event = "connected";
-      continue;
-    }
-    if ((revents & (POLLIN | POLLERR | POLLHUP)) != 0)
-      handle_readable(session, now);
-  }
-
-  if (have_listener && (pfds[0].revents & POLLIN) != 0) {
-    for (;;) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) break;
-      ::fcntl(fd, F_SETFL, O_NONBLOCK);
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      bgp::FsmConfig fsm_config;
-      fsm_config.hold_time = config_.hold_time;
-      fsm_config.keepalive_interval = config_.keepalive_interval;
-      fsm_config.send_hold_time = config_.send_hold_time;
-      auto session = std::make_unique<Session>(fsm_config, config_.retention);
-      session->id = next_session_id_++;
-      session->fd = fd;
-      session->passive = true;
-      session->socket_address = peer_socket_address(fd);
-      session->logical_address = session->socket_address;
-      session->fsm.start(now);
-      session->fsm.connected(now);
-      WireMetrics::get().sessions_opened.inc();
-      sessions_.push_back(std::move(session));
-    }
-  }
-
   // Timers, then outbound bytes for everyone.
   for (auto& sp : sessions_) {
     Session& session = *sp;
@@ -395,18 +318,17 @@ void BgpSpeaker::poll_once(int timeout_ms) {
     if (session.dead) continue;
     // Active dial attempts that outlived the ConnectRetry timer are
     // abandoned and re-dialed by dial_due_peers next round.
-    if (session.connecting &&
-        session.fsm.connect_retries() > 0) {
+    if (session.connecting && session.fsm.connect_retries() > 0) {
       teardown(session, "connect retry", now);
       continue;
     }
     pump_fsm_out(session, now);
-    flush_socket(session, now);
     // Socket-level RFC 9687: the peer accepted none of our bytes for
     // send_hold_time.
-    if (session.send_hold_deadline.has_value() &&
-        now >= *session.send_hold_deadline) {
-      send_notification(session, NotifyCode::kSendHoldTimerExpired, 0, now);
+    const auto stalled = config_.send_hold_time > 0 ? reactor_.stalled_since(session.id)
+                                                    : std::nullopt;
+    if (stalled && clock_now - *stalled >= std::chrono::seconds(config_.send_hold_time)) {
+      send_notification(session, NotifyCode::kSendHoldTimerExpired, 0);
       teardown(session, "send hold timer expired (RFC 9687)", now);
     }
   }
@@ -414,40 +336,29 @@ void BgpSpeaker::poll_once(int timeout_ms) {
   tick_ghosts(now);
   std::erase_if(sessions_, [](const auto& s) { return s->dead; });
   rebuild_snapshot();
+  return next_deadline(clock_now);
 }
 
-void BgpSpeaker::handle_readable(Session& session, netbase::TimePoint now) {
-  char buf[65536];
-  bool closed = false;
-  for (;;) {
-    const ssize_t n = ::recv(session.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      session.reader.append(reinterpret_cast<const std::uint8_t*>(buf),
-                            static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    closed = true;
-    break;
+BgpSpeaker::Clock::time_point BgpSpeaker::next_deadline(Clock::time_point now) {
+  // The FSM, retention and re-dial clocks count whole seconds.
+  const auto at = [](netbase::TimePoint t) {
+    return Clock::time_point(std::chrono::seconds(t));
+  };
+  Clock::time_point next = Clock::time_point::max();
+  for (const auto& sp : sessions_) {
+    const Session& session = *sp;
+    if (session.fsm.queued() > 0) return now;  // more than one drain's worth
+    if (const auto t = session.fsm.next_deadline()) next = std::min(next, at(*t));
+    if (config_.send_hold_time <= 0) continue;
+    if (const auto stalled = reactor_.stalled_since(session.id))
+      next = std::min(next, *stalled + std::chrono::seconds(config_.send_hold_time));
   }
-  try {
-    while (auto frame = session.reader.next()) {
-      const auto ingest = std::chrono::steady_clock::now();
-      handle_frame(session, std::move(*frame), now, ingest);
-      if (session.dead) return;
-    }
-  } catch (const WireError& e) {
-    WireMetrics::get().decode_errors.inc();
-    send_notification(session, e.code(), e.subcode(), now);
-    teardown(session, std::string("decode error: ") + e.what(), now);
-    return;
-  } catch (const netbase::DecodeError& e) {
-    WireMetrics::get().decode_errors.inc();
-    send_notification(session, NotifyCode::kMessageHeaderError, 0, now);
-    teardown(session, std::string("decode error: ") + e.what(), now);
-    return;
-  }
-  if (closed) teardown(session, "connection closed by peer", now);
+  for (const Ghost& ghost : ghosts_)
+    if (ghost.retention.retaining()) next = std::min(next, at(ghost.retention.deadline()));
+  std::lock_guard<std::mutex> lock(active_mutex_);
+  for (const ActivePeer& peer : active_peers_)
+    if (peer.session_id == 0) next = std::min(next, at(peer.next_attempt));
+  return next;
 }
 
 void BgpSpeaker::handle_frame(Session& session, std::vector<std::uint8_t> frame,
@@ -556,7 +467,7 @@ void BgpSpeaker::handle_open(Session& session, OpenMessage open,
     Session& loser = close_ours ? local_conn : remote_conn;
     journal_session_event(obs::JournalEventType::kWireCollision, ref_of(session),
                           close_ours ? 0 : 1, static_cast<std::int64_t>(loser.id));
-    send_notification(loser, NotifyCode::kCease, kCeaseConnectionCollision, now);
+    send_notification(loser, NotifyCode::kCease, kCeaseConnectionCollision);
     teardown(loser, "connection collision resolved", now);
     if (loser.id == session.id) return;
     break;
@@ -618,71 +529,39 @@ void BgpSpeaker::adopt_or_create_retention(Session& session) {
 }
 
 void BgpSpeaker::pump_fsm_out(Session& session, netbase::TimePoint now) {
+  const auto send = [&](const std::vector<std::uint8_t>& wire) {
+    reactor_.send(session.id, netbase::as_chars(wire));
+  };
   for (bgp::FsmMessage& message : session.fsm.drain(now, 64)) {
     switch (message.type) {
-      case bgp::MessageType::kOpen: {
-        const auto wire = encode_local_open();
-        session.out.insert(session.out.end(), wire.begin(), wire.end());
+      case bgp::MessageType::kOpen:
+        send(encode_local_open());
         break;
-      }
-      case bgp::MessageType::kKeepalive: {
-        const auto wire = encode_keepalive();
-        session.out.insert(session.out.end(), wire.begin(), wire.end());
+      case bgp::MessageType::kKeepalive:
+        send(encode_keepalive());
         break;
-      }
-      case bgp::MessageType::kUpdate: {
+      case bgp::MessageType::kUpdate:
         if (!message.update.has_value()) break;
-        const auto wire = encode_update(*message.update);
-        session.out.insert(session.out.end(), wire.begin(), wire.end());
+        send(encode_update(*message.update));
         ++session.updates_out;
         break;
-      }
       case bgp::MessageType::kNotification:
         break;  // NOTIFICATIONs are sent via send_notification()
     }
     ++session.messages_out;
     WireMetrics::get().msgs_out.inc();
   }
-  if (session.out_off < session.out.size() &&
-      config_.send_hold_time > 0 && !session.send_hold_deadline.has_value())
-    session.send_hold_deadline = now + config_.send_hold_time;
-}
-
-void BgpSpeaker::flush_socket(Session& session, netbase::TimePoint now) {
-  if (session.fd < 0) return;
-  bool progress = false;
-  while (session.out_off < session.out.size()) {
-    const ssize_t n = ::send(session.fd, session.out.data() + session.out_off,
-                             session.out.size() - session.out_off, MSG_NOSIGNAL);
-    if (n > 0) {
-      session.out_off += static_cast<std::size_t>(n);
-      progress = true;
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    teardown(session, "send failed", now);
-    return;
-  }
-  if (session.out_off >= session.out.size()) {
-    session.out.clear();
-    session.out_off = 0;
-    session.send_hold_deadline.reset();
-  } else if (progress && config_.send_hold_time > 0) {
-    // RFC 9687: any accepted byte restarts the send-hold window.
-    session.send_hold_deadline = now + config_.send_hold_time;
-  }
 }
 
 void BgpSpeaker::send_notification(Session& session, NotifyCode code,
-                                   std::uint8_t subcode, netbase::TimePoint now) {
-  if (session.fd < 0 || session.peer_notified) return;
+                                   std::uint8_t subcode) {
+  if (session.dead || session.peer_notified) return;
   NotificationMessage notification;
   notification.code = code;
   notification.subcode = subcode;
   const auto wire = notification.encode();
-  session.out.insert(session.out.end(), wire.begin(), wire.end());
-  flush_socket(session, now);  // best effort; a wedged peer gets nothing
+  // Best effort: a wedged peer's backlog holds it until the close.
+  reactor_.send(session.id, netbase::as_chars(wire));
   WireMetrics::get().notify_out.inc();
   session.last_event = "NOTIFICATION sent: " + notification.to_string();
   journal_session_event(obs::JournalEventType::kWireNotifySent, ref_of(session),
@@ -693,10 +572,7 @@ void BgpSpeaker::teardown(Session& session, const std::string& reason,
                           netbase::TimePoint now) {
   if (session.dead) return;
   session.dead = true;
-  if (session.fd >= 0) {
-    ::close(session.fd);
-    session.fd = -1;
-  }
+  reactor_.close(session.id);
   WireMetrics::get().sessions_closed.inc();
   session.last_event = reason;
   // Free the active-peer slot for a re-dial.
@@ -713,7 +589,10 @@ void BgpSpeaker::teardown(Session& session, const std::string& reason,
   session.was_established = false;
 
   const SessionRef ref = ref_of(session);
-  const bool retained = session.retention.session_down(now);
+  // The clock counts whole seconds and the loop wakes right at a
+  // window's end, so the window starts at the next second: it is never
+  // shorter than the peer's restart time.
+  const bool retained = session.retention.session_down(now + 1);
   if (retained) {
     WireMetrics::get().gr_retained_routes.inc(session.retention.stale_count());
     WireMetrics::get().stale_routes.add(

@@ -1,9 +1,10 @@
 // wire/speaker.hpp — the BGP-4 speaker: real sockets, driven by the
 // bgp/session_fsm.
 //
-// One poll(2) loop owns every session: a passive listener (zslived
-// --bgp-listen, the RIS-collector role), active outbound peers with
-// ConnectRetry (--bgp-peer), or both. Each session pairs a TCP socket
+// One netbase::Reactor loop owns every session: a passive listener
+// (zslived --bgp-listen, the RIS-collector role), active outbound peers
+// with ConnectRetry (--bgp-peer), or both, at most
+// netbase::kMaxConnections at once. Each session pairs a TCP connection
 // with a SessionFsm — the FSM owns states and timers (hold-time
 // negotiated to min(ours, theirs), KEEPALIVE cadence, ConnectRetry),
 // the speaker owns the bytes: frames inbound traffic through
@@ -24,7 +25,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -32,10 +32,12 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bgp/session_fsm.hpp"
 #include "netbase/ip.hpp"
+#include "netbase/reactor.hpp"
 #include "netbase/time.hpp"
 #include "wire/message.hpp"
 #include "wire/retention.hpp"
@@ -93,7 +95,7 @@ struct SessionSnapshot {
   std::string last_event;
 };
 
-class BgpSpeaker {
+class BgpSpeaker : private netbase::Reactor::Handler {
  public:
   /// ingest is the steady-clock instant the complete frame left the
   /// socket — the stamp the live pipeline's latency accounting wants.
@@ -119,7 +121,7 @@ class BgpSpeaker {
   BgpSpeaker(const BgpSpeaker&) = delete;
   BgpSpeaker& operator=(const BgpSpeaker&) = delete;
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return reactor_.port(); }
 
   /// Registers an active peer, dialed from run() with ConnectRetry.
   void connect_to(const std::string& host, std::uint16_t port);
@@ -128,17 +130,13 @@ class BgpSpeaker {
   void on_state(StateHandler fn) { on_state_ = std::move(fn); }
   void on_flush(FlushHandler fn) { on_flush_ = std::move(fn); }
 
-  /// The poll loop; blocking until stop(). Callbacks fire on this
-  /// thread.
+  /// The session loop; blocking until stop(), which ends every session
+  /// with Cease/Administrative Shutdown. Callbacks fire on this thread.
   void run();
-  void stop() { stop_.store(true, std::memory_order_relaxed); }
-
-  /// One loop iteration (run() calls this); exposed for deterministic
-  /// single-threaded tests.
-  void poll_once(int timeout_ms);
+  void stop() { reactor_.stop(); }
 
   /// Thread-safe snapshot of every live session and GR ghost; rebuilt
-  /// each poll iteration.
+  /// each loop turn.
   std::vector<SessionSnapshot> snapshot() const;
   /// The GET /sessions body built from snapshot().
   std::string sessions_json() const;
@@ -149,18 +147,26 @@ class BgpSpeaker {
   struct Ghost;
   struct ActivePeer;
 
+  using ConnId = netbase::Reactor::ConnId;
+  using Clock = netbase::Reactor::Clock;
+
+  void on_open(ConnId id) override;
+  void on_data(ConnId id, std::string_view bytes) override;
+  void on_close(ConnId id, netbase::Reactor::Closed why) override;
+  Clock::time_point on_turn(Clock::time_point now) override;
+
   netbase::TimePoint wall_now() const;
+  Session* find_session(ConnId id);
+  std::unique_ptr<Session> new_session(ConnId id, bool passive) const;
+  Clock::time_point next_deadline(Clock::time_point now);
   void dial_due_peers(netbase::TimePoint now);
-  void handle_readable(Session& session, netbase::TimePoint now);
   void handle_frame(Session& session, std::vector<std::uint8_t> frame,
                     netbase::TimePoint now,
                     std::chrono::steady_clock::time_point ingest);
   void handle_open(Session& session, OpenMessage open, netbase::TimePoint now);
   void sync_fsm_state(Session& session, netbase::TimePoint now);
   void pump_fsm_out(Session& session, netbase::TimePoint now);
-  void flush_socket(Session& session, netbase::TimePoint now);
-  void send_notification(Session& session, NotifyCode code, std::uint8_t subcode,
-                         netbase::TimePoint now);
+  void send_notification(Session& session, NotifyCode code, std::uint8_t subcode);
   void teardown(Session& session, const std::string& reason,
                 netbase::TimePoint now);
   void adopt_or_create_retention(Session& session);
@@ -170,12 +176,8 @@ class BgpSpeaker {
   std::vector<std::uint8_t> encode_local_open() const;
 
   SpeakerConfig config_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-
-  std::uint64_t next_session_id_ = 1;
-  std::vector<std::unique_ptr<Session>> sessions_;
+  netbase::Reactor reactor_;
+  std::vector<std::unique_ptr<Session>> sessions_;  // id = the connection's
   std::vector<Ghost> ghosts_;
   std::vector<ActivePeer> active_peers_;
   std::mutex active_mutex_;  // connect_to() may race run()

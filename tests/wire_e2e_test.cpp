@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -22,6 +23,8 @@
 
 #include "live/bgp_feed.hpp"
 #include "live/service.hpp"
+#include "obs/journal.hpp"
+#include "obs/metrics.hpp"
 #include "scenarios/longlived2024.hpp"
 #include "wire/bridge.hpp"
 #include "wire/message.hpp"
@@ -247,6 +250,95 @@ TEST(WireE2E, GrRetentionMakesAGhostThenFlushesAtRestartExpiry) {
     EXPECT_EQ(flush_reason, FlushReason::kRestartExpired);
   }
   EXPECT_TRUE(wait_for([&] { return harness.speaker.snapshot().empty(); }));
+}
+
+std::uint64_t wire_counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+TEST(WireE2E, DialedSessionEstablishesAndTheListenerSeesItsCease) {
+  SpeakerConfig listener_config;
+  listener_config.local_asn = 64999;
+  SpeakerThread listener(listener_config);
+  listener.start();
+
+  SpeakerConfig dialer_config;
+  dialer_config.local_asn = 65010;
+  dialer_config.bgp_id = 0xc000020a;
+  BgpSpeaker dialer(dialer_config, /*listen=*/false, /*port=*/0);
+  dialer.connect_to("127.0.0.1", listener.speaker.port());
+  std::thread dial_thread([&] { dialer.run(); });
+
+  ASSERT_TRUE(wait_for([&] {
+    return dialer.established_count() == 1 &&
+           listener.speaker.established_count() == 1;
+  }));
+  const auto dialer_rows = dialer.snapshot();
+  ASSERT_EQ(dialer_rows.size(), 1u);
+  EXPECT_FALSE(dialer_rows[0].passive);
+  EXPECT_EQ(dialer_rows[0].peer_asn, 64999u);
+  const auto listener_rows = listener.speaker.snapshot();
+  ASSERT_EQ(listener_rows.size(), 1u);
+  EXPECT_TRUE(listener_rows[0].passive);
+  EXPECT_EQ(listener_rows[0].peer_asn, 65010u);
+
+  // Stopping the dialer says Cease/Administrative Shutdown; the
+  // listener journals the NOTIFICATION and drops the session.
+  obs::Journal& journal = obs::Journal::global();
+  const std::uint32_t categories = journal.enabled_categories();
+  journal.set_enabled_categories(obs::kCatSession);
+  dialer.stop();
+  dial_thread.join();
+  EXPECT_TRUE(dialer.snapshot().empty());
+  EXPECT_TRUE(wait_for([&] { return listener.speaker.snapshot().empty(); }));
+  journal.set_enabled_categories(categories);
+  bool saw_cease = false;
+  for (const obs::JournalEvent& event : journal.tail(obs::Journal::kRecentCapacity)) {
+    saw_cease |= event.type == obs::JournalEventType::kWireNotifyReceived &&
+                 event.peer_asn == 65010u &&
+                 event.a == static_cast<std::int64_t>(NotifyCode::kCease) &&
+                 event.b == kCeaseAdminShutdown;
+  }
+  EXPECT_TRUE(saw_cease) << "the listener never read the dialer's Cease";
+}
+
+TEST(WireE2E, FailedDialIsRetriedAfterConnectRetry) {
+  // A loopback port with nothing listening on it.
+  const int probe = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(probe, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::getsockname(probe, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  ::close(probe);
+
+  SpeakerConfig config;
+  config.connect_retry = 1;
+  BgpSpeaker dialer(config, /*listen=*/false, /*port=*/0);
+  const auto dials = [] { return wire_counter("zs_wire_sessions_opened_total"); };
+  const auto teardowns = [] { return wire_counter("zs_wire_sessions_closed_total"); };
+  const std::uint64_t dials0 = dials();
+  const std::uint64_t teardowns0 = teardowns();
+  dialer.connect_to("127.0.0.1", ntohs(addr.sin_port));
+  std::thread dial_thread([&] { dialer.run(); });
+
+  // The first dial fails and its session is torn down...
+  EXPECT_TRUE(wait_for([&] { return dials() >= dials0 + 1 && teardowns() >= teardowns0 + 1; }));
+  // ...then the peer is dialed again on the ConnectRetry cadence: once
+  // per connect_retry, not in a tight loop.
+  std::vector<std::chrono::steady_clock::time_point> redials;
+  for (std::uint64_t n = 2; n <= 3; ++n) {
+    EXPECT_TRUE(wait_for([&] { return dials() >= dials0 + n; }, 5000));
+    redials.push_back(std::chrono::steady_clock::now());
+  }
+  const auto gap = redials[1] - redials[0];
+  EXPECT_GE(gap, std::chrono::milliseconds(800));
+  EXPECT_LE(gap, std::chrono::milliseconds(2500));
+  EXPECT_EQ(dialer.established_count(), 0u);
+  dialer.stop();
+  dial_thread.join();
 }
 
 // ------------------------------------------------- the equivalence run

@@ -347,6 +347,25 @@ TEST(WireFrameReader, ReassemblesAcrossArbitrarySegmentation) {
     EXPECT_EQ(frames[2], keepalive_wire) << "chunk=" << chunk;
     EXPECT_EQ(reader.buffered(), 0u) << "chunk=" << chunk;
   }
+
+  // A backlog of many frames plus the first bytes of the next header in
+  // one append: every whole frame comes out in order and the partial
+  // header waits for the rest of its message.
+  std::vector<std::uint8_t> backlog;
+  for (int i = 0; i < 1000; ++i) backlog.insert(backlog.end(), stream.begin(), stream.end());
+  backlog.insert(backlog.end(), keepalive_wire.begin(), keepalive_wire.begin() + 7);
+  FrameReader reader;
+  reader.append(backlog);
+  std::size_t count = 0;
+  while (auto frame = reader.next()) {
+    EXPECT_EQ(*frame, count % 3 == 0 ? open_wire : keepalive_wire) << "frame " << count;
+    ++count;
+  }
+  EXPECT_EQ(count, 3000u);
+  EXPECT_EQ(reader.buffered(), 7u);
+  reader.append(keepalive_wire.data() + 7, keepalive_wire.size() - 7);
+  EXPECT_EQ(reader.next(), keepalive_wire);
+  EXPECT_EQ(reader.buffered(), 0u);
 }
 
 TEST(WireFrameReader, ThrowsAsSoonAsABadHeaderCompletes) {

@@ -30,6 +30,10 @@
 // (SSE), /live/stats (shard health), /sessions (BGP mode), plus the
 // standard zsobs set (/metrics, /healthz, /spans, /journal/tail,
 // /causal, /profile, /heap).
+//
+// Each listener (--http-port, --tcp-port, --bgp-listen) runs on one
+// event loop and holds at most 64 connections at once; SSE frames go
+// out as they are published, with no polling interval to tune.
 
 #include <atomic>
 #include <chrono>
@@ -71,7 +75,7 @@ namespace {
       "          [--shards N] [--queue-depth N] [--threshold MINUTES]\n"
       "          [--block-on-full] [--http-port N] [--print-zombies]\n"
       "          [--stale-after SECONDS] [--no-loopback]\n"
-      "          [--tsdb-cadence-ms N (0 disables)] [--sse-pump-ms N]\n"
+      "          [--tsdb-cadence-ms N (0 disables)]\n"
       "          [--metrics-out FILE] [--metrics-format prom|json]\n"
       "          [--trace-out FILE] [--journal-out FILE]\n"
       "          [--journal-format ndjson|bin] [--journal-categories LIST]\n"
@@ -129,9 +133,6 @@ int main(int argc, char** argv) {
   // zstsdb sampler cadence; 0 disables the store (and the alert rules
   // that ride on it).
   long tsdb_cadence_ms = 1000;
-  // Fallback SSE pump interval; frame delivery itself is event-driven
-  // (publish wakes the serving loop through a self-pipe).
-  int sse_pump_ms = 0;  // 0 = server default
   std::string metrics_out;
   obs::Format metrics_format = obs::Format::kJson;
   std::string trace_out;
@@ -174,7 +175,6 @@ int main(int argc, char** argv) {
       else if (arg == "--stale-after") stale_after = std::stod(need_value(i));
       else if (arg == "--no-loopback") loopback = false;
       else if (arg == "--tsdb-cadence-ms") tsdb_cadence_ms = std::stol(need_value(i));
-      else if (arg == "--sse-pump-ms") sse_pump_ms = std::stoi(need_value(i));
       else if (arg == "--metrics-out") metrics_out = need_value(i);
       else if (arg == "--metrics-format") {
         const auto parsed = obs::parse_format(need_value(i));
@@ -414,7 +414,6 @@ int main(int argc, char** argv) {
   obs::HttpServer http;
   std::unique_ptr<live::LoopbackLatencyClient> e2e_client;
   if (http_port >= 0) {
-    if (sse_pump_ms > 0) http.set_stream_poll_interval_ms(sse_pump_ms);
     std::function<std::string()> alerts_degraded;
     if (tsdb_on) {
       alerts_degraded = [&tsdb]() -> std::string {

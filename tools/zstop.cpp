@@ -25,26 +25,26 @@
 // --once renders a single frame without ANSI positioning and exits 0
 // (CI-friendly: the soak in run_tier1.sh asserts it); the interactive
 // mode redraws every --interval-ms until Ctrl-C. Exits non-zero only
-// when the server cannot be reached at all. No dependencies beyond
-// POSIX sockets; bodies parse with the shared reader (netbase/json).
+// when the server cannot be reached at all. Requests go through the
+// shared blocking client (netbase/reactor) and bodies parse with the
+// shared reader (netbase/json).
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "netbase/json.hpp"
+#include "netbase/reactor.hpp"
 #include "obs/build_info.hpp"
 
 namespace {
@@ -73,44 +73,23 @@ bool http_get(const std::string& host, int port, const std::string& path,
               int& status, std::string& body) {
   status = 0;
   body.clear();
-  struct addrinfo hints = {};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  struct addrinfo* res = nullptr;
-  const std::string port_text = std::to_string(port);
-  if (::getaddrinfo(host.c_str(), port_text.c_str(), &hints, &res) != 0) return false;
-  int fd = -1;
-  for (struct addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
-    struct timeval tv = {5, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(res);
+  const int fd = zombiescope::netbase::connect_tcp(
+      host, static_cast<std::uint16_t>(port), /*recv_timeout_ms=*/5000);
   if (fd < 0) return false;
-
   const std::string request = "GET " + path + " HTTP/1.1\r\nHost: " + host +
                               "\r\nConnection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) { ::close(fd); return false; }
-    sent += static_cast<std::size_t>(n);
-  }
   std::string raw;
+  bool ok = zombiescope::netbase::send_all(fd, request);
   char buf[4096];
-  while (true) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0) { ::close(fd); return false; }
-    if (n == 0) break;
+  while (ok) {
+    const std::ptrdiff_t n = zombiescope::netbase::recv_some(fd, buf, sizeof(buf));
+    if (n < 0) ok = false;
+    if (n <= 0) break;
     raw.append(buf, static_cast<std::size_t>(n));
     if (raw.size() > 8 * 1024 * 1024) break;  // runaway guard
   }
   ::close(fd);
+  if (!ok) return false;
 
   const std::size_t header_end = raw.find("\r\n\r\n");
   if (header_end == std::string::npos) return false;
@@ -515,7 +494,7 @@ int main(int argc, char** argv) {
     if (once || g_stop) break;
     // Sleep in small slices so Ctrl-C exits promptly.
     for (int waited = 0; waited < interval_ms && !g_stop; waited += 50)
-      ::poll(nullptr, 0, 50);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
     if (g_stop) break;
   }
   if (ansi) std::fputs("\x1b[?25h\n", stdout);  // restore cursor

@@ -33,12 +33,10 @@
 #include <thread>
 #include <vector>
 
-#include <errno.h>
-#include <fcntl.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "mrt/codec.hpp"
+#include "netbase/reactor.hpp"
 #include "obs/build_info.hpp"
 #include "scenarios/wirefault.hpp"
 #include "wire/bridge.hpp"
@@ -166,19 +164,13 @@ int run_peer(int argc, char** argv) {
       update.announced = announce;
       update.attributes.as_path = bgp::AsPath{asn};
       update.attributes.next_hop = netbase::IpAddress::parse("127.0.0.1");
-      const auto msg = wire::encode_update(update);
-      std::size_t off = 0;
-      while (off < msg.size()) {
-        const ssize_t n = ::send(fd, msg.data() + off, msg.size() - off, 0);
-        if (n <= 0) throw std::runtime_error("peer: send failed");
-        off += static_cast<std::size_t>(n);
-      }
+      if (!netbase::send_all(fd, netbase::as_chars(wire::encode_update(update))))
+        throw std::runtime_error("peer: send failed");
       std::fprintf(stderr, "zswire peer: announced %zu prefix(es)\n",
                    announce.size());
     }
     // Keep the session alive: answer with KEEPALIVEs on a hold/3
     // cadence, draining whatever the collector sends.
-    ::fcntl(fd, F_SETFL, O_NONBLOCK);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(wait);
     auto next_keepalive = std::chrono::steady_clock::now();
@@ -186,10 +178,10 @@ int run_peer(int argc, char** argv) {
     char buf[4096];
     while (std::chrono::steady_clock::now() < deadline) {
       if (std::chrono::steady_clock::now() >= next_keepalive) {
-        (void)!::send(fd, keepalive_wire.data(), keepalive_wire.size(), 0);
+        (void)netbase::send_all(fd, netbase::as_chars(keepalive_wire));
         next_keepalive += std::chrono::seconds(std::max<long>(hold / 3, 1));
       }
-      while (::recv(fd, buf, sizeof(buf), 0) > 0) {
+      while (netbase::recv_some(fd, buf, sizeof(buf), /*wait=*/false) > 0) {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
@@ -197,7 +189,7 @@ int run_peer(int argc, char** argv) {
     bye.code = wire::NotifyCode::kCease;
     bye.subcode = wire::kCeaseAdminShutdown;
     const auto bye_wire = bye.encode();
-    (void)!::send(fd, bye_wire.data(), bye_wire.size(), 0);
+    (void)netbase::send_all(fd, netbase::as_chars(bye_wire));
     ::close(fd);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
