@@ -196,11 +196,11 @@ void begin_bench_session() {
   static const bool started = [] {
     g_bench_started = std::chrono::steady_clock::now();
     g_bench_started_valid = true;
-    if (std::getenv("ZS_NO_PROF") == nullptr) obs::Profiler::global().start();
-    // The heap section rides along by default so every BENCH_*.json
-    // carries allocation counts next to its profile ($ZS_NO_HEAP opts
-    // out; a sanitizer build makes start() a graceful no-op).
-    if (std::getenv("ZS_NO_HEAP") == nullptr) obs::HeapProfiler::global().start();
+    obs::Profiler::global().start();
+    // The heap section rides along so every BENCH_*.json carries
+    // allocation counts next to its profile (a sanitizer build makes
+    // start() a graceful no-op).
+    obs::HeapProfiler::global().start();
     return true;
   }();
   (void)started;
@@ -210,7 +210,7 @@ void print_header(const std::string& title, const std::string& paper_ref) {
   // The snapshot runs at exit so it captures everything the bench did
   // after this header, named after the binary itself. The zsprof
   // session starts here so the snapshot's profile section covers the
-  // same window as its wall time ($ZS_NO_PROF opts out).
+  // same window as its wall time.
   static const bool installed = [] {
     begin_bench_session();
     std::atexit([] { emit_metrics_snapshot(program_invocation_short_name); });

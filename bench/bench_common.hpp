@@ -28,11 +28,10 @@ scenarios::RisPeriodSpec ris_spec(int which);
 scenarios::LongLived2024Output load_longlived2024();
 
 /// Starts the bench telemetry session: records the wall-clock start,
-/// begins a zsprof sampling session (skipped when $ZS_NO_PROF is set
-/// or the profiler is compiled out), and begins a zsheap allocation
-/// session (skipped when $ZS_NO_HEAP is set, compiled out, or the
-/// build runs under a sanitizer). Idempotent; called by print_header,
-/// and directly by benches with a custom main.
+/// begins a zsprof sampling session (skipped when the profiler is
+/// compiled out), and begins a zsheap allocation session (skipped when
+/// compiled out or the build runs under a sanitizer). Idempotent;
+/// called by print_header, and directly by benches with a custom main.
 void begin_bench_session();
 
 /// Prints a section header for the harness output. Also starts the

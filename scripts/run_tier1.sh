@@ -18,7 +18,10 @@
 # speaker and bridge over real loopback sessions); WireE2EReplay is
 # excluded there because its longlived2024 set-up alone takes minutes
 # under TSan (the plain build runs it). Each sanitizer leg ends
-# with a 30-second zslived tap-demo soak under concurrent curl clients.
+# with a 30-second zslived tap-demo soak under concurrent curl clients,
+# which also writes the metrics, trace and journal files at exit. The
+# plain leg ends by replaying the default archive through one shard
+# behind a 64-slot queue: a replay must drop nothing.
 #
 # Usage: scripts/run_tier1.sh [build-dir]   (default: build)
 
@@ -34,6 +37,20 @@ cmake -B "${BUILD_DIR}" -S .
 cmake --build "${BUILD_DIR}" -j
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 
+# A replay is an archive, not a wire: it waits out a full shard queue
+# instead of dropping, so its zombie set is batch's at any --speed and
+# queue depth. One shard behind 64 slots is the tightest backpressure
+# the CLI can ask for.
+echo "== tier-1: lossless zslived --replay (${BUILD_DIR})"
+"${BUILD_DIR}/tools/zssim" longlived2024 "${BUILD_DIR}/replay-check" \
+  >"${BUILD_DIR}/replay-check.log" 2>&1
+replay_out=$("${BUILD_DIR}/tools/zslived" --replay "${BUILD_DIR}/replay-check.updates.mrt" \
+  --schedule fifteen --start 2024-06-10 --end 2024-06-23 --shards 1 --queue-depth 64 2>&1)
+case "${replay_out}" in
+  *', 0 dropped,'*) echo "== tier-1: replay OK ($(grep -o 'feed done:.*' <<<"${replay_out}"))" ;;
+  *) echo "zslived --replay dropped records: ${replay_out}"; exit 1 ;;
+esac
+
 # realtime_test runs under both legs for the detector's lazily deleted
 # deadline-heap entries and alerted-route map (the ObsLive* suites in
 # live_test cover the snapshot vectors shared across threads).
@@ -44,10 +61,10 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 # __sanitizer symbols — the session tests skip there, while the
 # report/rendering tests still run. This proves the step-aside path,
 # not just the happy path.
-OBS_TARGETS="json_test reactor_test obs_test journal_test http_test prof_test benchdiff_test \
-  heap_test heap_compileout_test lathist_test tsdb_test \
+OBS_TARGETS="json_test reactor_test obs_test journal_test session_test http_test prof_test \
+  benchdiff_test heap_test heap_compileout_test lathist_test tsdb_test \
   causal_test causal_e2e_test live_test realtime_test \
-  wire_test wire_e2e_test wirefault_test zswire zslived zstop"
+  wire_test wire_e2e_test wirefault_test zswire zslived zstop zsreport"
 # Single-threaded suites for the ASan+UBSan leg only.
 ASAN_ONLY_TARGETS="mrt_test zombie_test fuzz_codec_test"
 
@@ -57,13 +74,17 @@ ASAN_ONLY_TARGETS="mrt_test zombie_test fuzz_codec_test"
 # surface (MPSC queues, snapshot publication, SSE fanout) the
 # sanitizers exist to check. Fails on a nonzero daemon exit (sanitizer
 # reports make the runtime exit nonzero), on any report text in the
-# logs, or if a /live/zombies epoch ever moves backwards.
+# logs, or if a /live/zombies epoch ever moves backwards. The daemon
+# writes its metrics, trace and journal files on the way out, so the
+# exit path and shutdown order run under the sanitizer too.
 soak_zslived() {
   local build_dir="$1" label="$2"
   local log="${build_dir}/zslived-soak.stderr"
   echo "== tier-1: zslived 30s tap-demo soak (${label})"
   "${build_dir}/tools/zslived" --tap-demo --speed 120 --duration 30 \
-    --http-port 0 >"${build_dir}/zslived-soak.stdout" 2>"${log}" &
+    --http-port 0 --metrics-out "${build_dir}/soak.prom" \
+    --trace-out "${build_dir}/soak-trace.json" --journal-out "${build_dir}/soak.journal" \
+    >"${build_dir}/zslived-soak.stdout" 2>"${log}" &
   local pid=$!
   local port=""
   for _ in $(seq 1 100); do
@@ -124,8 +145,23 @@ soak_zslived() {
     echo "zslived (${label}) exited nonzero"; cat "${log}"
     exit 1
   fi
+  # The exit writes: a Prometheus file (the .prom path picks the
+  # format), a trace file, and a journal zsreport can read.
+  if ! grep -q '^# HELP zs_build_info' "${build_dir}/soak.prom" ||
+    ! grep -q '^zs_live_records_total' "${build_dir}/soak.prom"; then
+    echo "zslived (${label}) soak metrics file incomplete"; exit 1
+  fi
+  if ! grep -q '"schema": "zsobs-trace-v1"' "${build_dir}/soak-trace.json"; then
+    echo "zslived (${label}) soak trace file lacks its schema line"; exit 1
+  fi
+  if ! "${build_dir}/tools/zsreport" "${build_dir}/soak.journal" \
+    >"${build_dir}/zsreport-soak.out" 2>&1; then
+    echo "zslived (${label}) zsreport could not read the soak journal"
+    cat "${build_dir}/zsreport-soak.out"
+    exit 1
+  fi
   if grep -E 'ThreadSanitizer|AddressSanitizer|LeakSanitizer|runtime error' \
-    "${log}" "${build_dir}/zslived-soak.stdout"; then
+    "${log}" "${build_dir}/zslived-soak.stdout" "${build_dir}/zsreport-soak.out"; then
     echo "zslived (${label}) soak produced sanitizer reports"
     exit 1
   fi
@@ -192,7 +228,7 @@ soak_zslived() {
     *) echo "zslived (${label}) /peers classified peers noisy on the clean tap demo: ${peers_json}"
        exit 1 ;;
   esac
-  echo "== tier-1: zslived soak (${label}) OK (final epoch ${last_epoch}, lag p99 ${lag_p99}s, alerts clean, peers clean)"
+  echo "== tier-1: zslived soak (${label}) OK (final epoch ${last_epoch}, lag p99 ${lag_p99}s, alerts clean, peers clean, exit files written)"
 }
 
 # A short BGP loopback soak under the instrumented build: zslived as a

@@ -90,4 +90,15 @@ std::vector<BeaconEvent> LongLivedBeaconSchedule::events(TimePoint start, TimePo
   return out;
 }
 
+std::optional<std::vector<BeaconEvent>> schedule_events(std::string_view name, TimePoint start,
+                                                        TimePoint end) {
+  using Approach = LongLivedBeaconSchedule::Approach;
+  if (name == "ris") return RisBeaconSchedule::classic().events(start, end);
+  if (name == "daily")
+    return LongLivedBeaconSchedule::paper_deployment(Approach::kDaily).events(start, end);
+  if (name == "fifteen")
+    return LongLivedBeaconSchedule::paper_deployment(Approach::kFifteenDay).events(start, end);
+  return std::nullopt;
+}
+
 }  // namespace zombiescope::beacon

@@ -6,6 +6,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bgp/types.hpp"
@@ -87,5 +88,12 @@ class LongLivedBeaconSchedule {
   Approach approach_;
   netbase::Prefix covering_;
 };
+
+/// The events in [start, end) of a schedule named on a command line:
+/// "ris" (the classic RIS beacons), "daily" or "fifteen" (the paper's
+/// deployment, approach 1 or 2). nullopt for any other name.
+std::optional<std::vector<BeaconEvent>> schedule_events(std::string_view name,
+                                                        netbase::TimePoint start,
+                                                        netbase::TimePoint end);
 
 }  // namespace zombiescope::beacon

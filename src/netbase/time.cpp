@@ -1,5 +1,6 @@
 #include "netbase/time.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
@@ -57,6 +58,22 @@ TimePoint from_civil(const CivilTime& c) {
 
 TimePoint utc(int year, int month, int day, int hour, int minute, int second) {
   return from_civil({year, month, day, hour, minute, second});
+}
+
+std::optional<TimePoint> parse_date(std::string_view text) {
+  int field[3] = {0, 0, 0};
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  for (int i = 0; i < 3; ++i) {
+    if (i > 0 && (p == end || *p++ != '-')) return std::nullopt;
+    const auto [next, ec] = std::from_chars(p, end, field[i]);
+    if (ec != std::errc{}) return std::nullopt;
+    p = next;
+  }
+  if (p != end || field[1] < 1 || field[1] > 12 || field[2] < 1 ||
+      field[2] > days_in_month(field[0], field[1]))
+    return std::nullopt;
+  return utc(field[0], field[1], field[2]);
 }
 
 CivilTime to_civil(TimePoint t) {

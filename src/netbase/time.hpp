@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace zombiescope::netbase {
 
@@ -41,6 +43,10 @@ TimePoint from_civil(const CivilTime& civil);
 
 /// Convenience: from_civil({y, m, d, hh, mm, ss}).
 TimePoint utc(int year, int month, int day, int hour = 0, int minute = 0, int second = 0);
+
+/// Parses a command-line date "YYYY-MM-DD" as midnight UTC. nullopt
+/// for trailing text, a month outside 1-12 or a day outside its month.
+std::optional<TimePoint> parse_date(std::string_view text);
 
 /// Converts seconds since the epoch to broken-down UTC time.
 CivilTime to_civil(TimePoint t);

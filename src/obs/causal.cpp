@@ -5,6 +5,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "netbase/mpsc_ring.hpp"
 #include "obs/metrics.hpp"
 
 namespace zombiescope::obs {
@@ -186,7 +187,7 @@ std::string render_propagation_tree(const netbase::Prefix& prefix,
 }
 
 // ---------------------------------------------------------------------------
-// The tracer: Vyukov MPSC ring + per-prefix store.
+// The tracer: MPSC hop ring + per-prefix store.
 
 namespace {
 
@@ -203,11 +204,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
 }  // namespace
 
 struct CausalTracer::Impl {
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    HopRecord record;
-  };
-
   std::atomic<bool> enabled{true};
   std::atomic<double> announce_rate{kDefaultAnnounceSampleRate};
   std::atomic<std::uint64_t> sample_seed{0x5eedba5e5eedba5eull};
@@ -216,9 +212,7 @@ struct CausalTracer::Impl {
   std::atomic<std::uint64_t> recorded{0};
   std::atomic<std::uint64_t> dropped{0};
 
-  std::unique_ptr<Slot[]> slots{new Slot[kRingCapacity]};
-  alignas(64) std::atomic<std::uint64_t> enqueue_pos{0};
-  alignas(64) std::atomic<std::uint64_t> dequeue_pos{0};
+  netbase::MpscRing<HopRecord> ring{kRingCapacity};  // drained under consumer_mutex
 
   std::mutex consumer_mutex;
   std::unordered_map<netbase::Prefix, std::deque<HopRecord>> store;
@@ -228,46 +222,9 @@ struct CausalTracer::Impl {
   Counter m_traces;
 
   Impl() {
-    for (std::size_t i = 0; i < kRingCapacity; ++i)
-      slots[i].seq.store(i, std::memory_order_relaxed);
     m_recorded = Registry::global().counter("zs_causal_hops_recorded_total");
     m_dropped = Registry::global().counter("zs_causal_hops_dropped_total");
     m_traces = Registry::global().counter("zs_causal_traces_started_total");
-  }
-
-  bool try_enqueue(const HopRecord& record) {
-    std::uint64_t pos = enqueue_pos.load(std::memory_order_relaxed);
-    for (;;) {
-      Slot& slot = slots[pos & (kRingCapacity - 1)];
-      const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-      const auto dif =
-          static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-      if (dif == 0) {
-        if (enqueue_pos.compare_exchange_weak(pos, pos + 1,
-                                              std::memory_order_relaxed)) {
-          slot.record = record;
-          slot.seq.store(pos + 1, std::memory_order_release);
-          return true;
-        }
-      } else if (dif < 0) {
-        return false;  // full
-      } else {
-        pos = enqueue_pos.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  // Single consumer; callers hold consumer_mutex.
-  bool try_dequeue(HopRecord& out) {
-    const std::uint64_t pos = dequeue_pos.load(std::memory_order_relaxed);
-    Slot& slot = slots[pos & (kRingCapacity - 1)];
-    const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    if (static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos + 1) < 0)
-      return false;  // empty
-    out = slot.record;
-    slot.seq.store(pos + kRingCapacity, std::memory_order_release);
-    dequeue_pos.store(pos + 1, std::memory_order_relaxed);
-    return true;
   }
 };
 
@@ -320,7 +277,7 @@ TraceContext CausalTracer::begin_trace(TraceKind kind) {
 
 void CausalTracer::record(const HopRecord& record) {
   if (record.trace_id == 0 || !enabled()) return;
-  if (impl_->try_enqueue(record)) {
+  if (impl_->ring.try_push(record)) {
     impl_->recorded.fetch_add(1, std::memory_order_relaxed);
     impl_->m_recorded.inc();
   } else {
@@ -336,7 +293,7 @@ std::size_t CausalTracer::drain() {
   std::lock_guard<std::mutex> lock(impl_->consumer_mutex);
   std::size_t moved = 0;
   HopRecord record;
-  while (impl_->try_dequeue(record)) {
+  while (impl_->ring.try_pop(record)) {
     ++moved;
     if (!impl_->store.contains(record.prefix) &&
         impl_->store.size() >= kMaxPrefixes)
@@ -383,7 +340,7 @@ std::uint64_t CausalTracer::dropped() const {
 void CausalTracer::reset() {
   std::lock_guard<std::mutex> lock(impl_->consumer_mutex);
   HopRecord discard;
-  while (impl_->try_dequeue(discard)) {
+  while (impl_->ring.try_pop(discard)) {
   }
   impl_->store.clear();
   impl_->next_id.store(0, std::memory_order_relaxed);

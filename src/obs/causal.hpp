@@ -28,8 +28,8 @@
 // trace id, so runs are deterministic and sampling never perturbs the
 // simulation's own RNG).
 //
-// Records flow through a bounded lock-free MPSC ring (the Vyukov
-// pattern journal.cpp uses) into a per-prefix store served by
+// Records flow through a bounded lock-free MPSC ring
+// (netbase/mpsc_ring.hpp, as the journal's events do) into a per-prefix store served by
 // GET /causal?prefix=…, and are mirrored into the journal under the
 // `propagation` category so tools/zsroot can rebuild propagation
 // trees offline. causal_set_enabled(false) turns tracing off at run

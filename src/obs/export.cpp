@@ -60,12 +60,6 @@ void append_json_spans(std::string& out, std::span<const SpanRecord> spans) {
 
 }  // namespace
 
-std::optional<Format> parse_format(std::string_view text) {
-  if (text == "prom" || text == "prometheus") return Format::kPrometheus;
-  if (text == "json") return Format::kJson;
-  return std::nullopt;
-}
-
 std::string prometheus_escape_label(std::string_view value) {
   std::string out;
   out.reserve(value.size());
@@ -282,9 +276,9 @@ void write_text_file(const std::string& path, std::string_view content) {
   if (!out) throw std::runtime_error("short write to " + path);
 }
 
-void write_metrics_file(const std::string& path, Format format) {
+void write_metrics_file(const std::string& path) {
   const Snapshot snapshot = Registry::global().snapshot();
-  if (format == Format::kPrometheus) {
+  if (path.ends_with(".prom")) {
     write_text_file(path, to_prometheus(snapshot));
   } else {
     const auto spans = Tracer::global().snapshot();

@@ -12,7 +12,6 @@
 
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -23,11 +22,6 @@
 #include "obs/trace.hpp"
 
 namespace zombiescope::obs {
-
-enum class Format { kPrometheus, kJson };
-
-/// Parses "prom" / "json" (the CLI --metrics-format values).
-std::optional<Format> parse_format(std::string_view text);
 
 /// Escapes a Prometheus label value: `\` -> `\\`, `"` -> `\"`, and a
 /// newline -> `\n` (the exposition-format escaping rules).
@@ -63,9 +57,10 @@ bool prometheus_format_ok(std::string_view text);
 /// Writes `content` to `path`; throws std::runtime_error on failure.
 void write_text_file(const std::string& path, std::string_view content);
 
-/// Snapshot the global registry (and, for JSON, the global tracer) to
-/// a file in the given format.
-void write_metrics_file(const std::string& path, Format format);
+/// Snapshot the global registry to a file: Prometheus text when `path`
+/// ends in ".prom", otherwise zsobs-v1 JSON with the global tracer's
+/// spans.
+void write_metrics_file(const std::string& path);
 
 /// Snapshot the global tracer's spans to a JSON trace file.
 void write_trace_file(const std::string& path);

@@ -5,7 +5,6 @@
 #include <iostream>
 #include <stdexcept>
 
-#include "netbase/bytes.hpp"
 #include "netbase/json.hpp"
 
 namespace zombiescope::obs {
@@ -207,120 +206,27 @@ std::optional<JournalEvent> parse_ndjson(std::string_view line) {
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec: u32 record length, then a fixed 74-byte big-endian
-// payload (type, time, flags, prefix, peer, a/b/c). The length prefix
-// leaves room for future record growth without breaking old readers.
-
-namespace {
-
-constexpr std::uint8_t kFlagHasPrefix = 0x01;
-constexpr std::uint8_t kFlagHasPeer = 0x02;
-
-void append_address(netbase::ByteWriter& w, const netbase::IpAddress& address) {
-  w.u8(static_cast<std::uint8_t>(address.family()));
-  w.bytes(address.bytes());
-}
-
-netbase::IpAddress read_address(netbase::ByteReader& r) {
-  const std::uint8_t family = r.u8();
-  const auto raw = r.bytes(16);
-  std::array<std::uint8_t, 16> bytes{};
-  std::copy(raw.begin(), raw.end(), bytes.begin());
-  if (family == 4) {
-    return netbase::IpAddress::v4(
-        std::array<std::uint8_t, 4>{bytes[0], bytes[1], bytes[2], bytes[3]});
-  }
-  if (family == 6) return netbase::IpAddress::v6(bytes);
-  throw netbase::DecodeError("journal: bad address family " +
-                             std::to_string(family));
-}
-
-JournalEvent decode_binary_payload(netbase::ByteReader& r) {
-  JournalEvent event;
-  event.type = static_cast<JournalEventType>(r.u16());
-  event.time = static_cast<netbase::TimePoint>(r.u64());
-  const std::uint8_t flags = r.u8();
-  event.has_prefix = (flags & kFlagHasPrefix) != 0;
-  event.has_peer = (flags & kFlagHasPeer) != 0;
-  const netbase::IpAddress prefix_address = read_address(r);
-  const int prefix_length = r.u8();
-  if (event.has_prefix) event.prefix = netbase::Prefix(prefix_address, prefix_length);
-  event.peer_asn = r.u32();
-  const netbase::IpAddress peer_address = read_address(r);
-  if (event.has_peer) event.peer_address = peer_address;
-  event.a = static_cast<std::int64_t>(r.u64());
-  event.b = static_cast<std::int64_t>(r.u64());
-  event.c = static_cast<std::int64_t>(r.u64());
-  return event;
-}
-
-}  // namespace
-
-void append_binary(std::vector<std::uint8_t>& out, const JournalEvent& event) {
-  netbase::ByteWriter w;
-  w.u16(static_cast<std::uint16_t>(event.type));
-  w.u64(static_cast<std::uint64_t>(event.time));
-  std::uint8_t flags = 0;
-  if (event.has_prefix) flags |= kFlagHasPrefix;
-  if (event.has_peer) flags |= kFlagHasPeer;
-  w.u8(flags);
-  append_address(w, event.prefix.address());
-  w.u8(static_cast<std::uint8_t>(event.prefix.length()));
-  w.u32(event.peer_asn);
-  append_address(w, event.peer_address);
-  w.u64(static_cast<std::uint64_t>(event.a));
-  w.u64(static_cast<std::uint64_t>(event.b));
-  w.u64(static_cast<std::uint64_t>(event.c));
-
-  netbase::ByteWriter framed;
-  framed.u32(static_cast<std::uint32_t>(w.size()));
-  framed.bytes(w.data());
-  const auto& bytes = framed.data();
-  out.insert(out.end(), bytes.begin(), bytes.end());
-}
-
-std::optional<JournalFormat> parse_journal_format(std::string_view text) {
-  if (text == "ndjson" || text == "json") return JournalFormat::kNdjson;
-  if (text == "bin" || text == "binary") return JournalFormat::kBinary;
-  return std::nullopt;
-}
-
-// ---------------------------------------------------------------------------
 // File I/O.
 
-JournalWriter::JournalWriter(const std::string& path, JournalFormat format)
-    : path_(path), format_(format) {
+JournalWriter::JournalWriter(const std::string& path) : path_(path) {
   out_.open(path, std::ios::binary | std::ios::trunc);
   if (!out_.is_open()) {
     throw std::runtime_error("journal: cannot open " + path + " for writing");
   }
-  if (format_ == JournalFormat::kBinary) {
-    out_.write(kJournalBinaryMagic.data(),
-               static_cast<std::streamsize>(kJournalBinaryMagic.size()));
-  }
 }
 
 void JournalWriter::write(const JournalEvent& event) {
-  if (format_ == JournalFormat::kNdjson) {
-    const std::string line = to_ndjson(event);
-    out_.write(line.data(), static_cast<std::streamsize>(line.size()));
-    out_.put('\n');
-  } else {
-    std::vector<std::uint8_t> buf;
-    append_binary(buf, event);
-    out_.write(reinterpret_cast<const char*>(buf.data()),
-               static_cast<std::streamsize>(buf.size()));
-  }
+  const std::string line = to_ndjson(event);
+  out_.write(line.data(), static_cast<std::streamsize>(line.size()));
+  out_.put('\n');
 }
 
 void JournalWriter::flush() { out_.flush(); }
 
 std::vector<JournalEvent> read_journal_file(const std::string& path) {
-  std::vector<std::uint8_t> raw;
+  std::string raw;
   if (path == "-") {
-    // Piped journals ("zsdetect ... | zsreport -"): slurp stdin. The
-    // auto-detection below works unchanged since both formats are
-    // identified from the leading bytes.
+    // Piped journals ("zsdetect ... | zsreport -"): slurp stdin.
     raw.assign(std::istreambuf_iterator<char>(std::cin),
                std::istreambuf_iterator<char>());
   } else {
@@ -333,30 +239,7 @@ std::vector<JournalEvent> read_journal_file(const std::string& path) {
   }
 
   std::vector<JournalEvent> events;
-  const std::string_view magic = kJournalBinaryMagic;
-  const bool binary =
-      raw.size() >= magic.size() &&
-      std::equal(magic.begin(), magic.end(), raw.begin(),
-                 [](char m, std::uint8_t b) {
-                   return static_cast<std::uint8_t>(m) == b;
-                 });
-  if (binary) {
-    netbase::ByteReader r{std::span<const std::uint8_t>(raw)};
-    r.bytes(magic.size());
-    try {
-      while (!r.done()) {
-        const std::uint32_t length = r.u32();
-        netbase::ByteReader payload = r.sub(length);
-        events.push_back(decode_binary_payload(payload));
-      }
-    } catch (const netbase::DecodeError& e) {
-      throw std::runtime_error("journal: corrupt binary file " + path + ": " +
-                               e.what());
-    }
-    return events;
-  }
-
-  std::string_view rest(reinterpret_cast<const char*>(raw.data()), raw.size());
+  std::string_view rest(raw);
   while (!rest.empty()) {
     const std::size_t newline = rest.find('\n');
     const std::string_view line = rest.substr(0, newline);
@@ -371,17 +254,9 @@ std::vector<JournalEvent> read_journal_file(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// The ring.
+// The journal.
 
-Journal::Journal(std::size_t capacity) {
-  std::size_t cap = 2;
-  while (cap < capacity) cap <<= 1;
-  capacity_ = cap;
-  slots_ = std::make_unique<Slot[]>(cap);
-  for (std::size_t i = 0; i < cap; ++i) {
-    slots_[i].seq.store(i, std::memory_order_relaxed);
-  }
-}
+Journal::Journal(std::size_t capacity) : ring_(capacity) {}
 
 Journal& Journal::global() {
   static Journal* journal = [] {
@@ -399,59 +274,13 @@ void Journal::bind_counters(Counter emitted, Counter dropped) {
   m_dropped_ = dropped;
 }
 
-bool Journal::try_enqueue(const JournalEvent& event) {
-  const std::size_t mask = capacity_ - 1;
-  std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Slot& slot = slots_[pos & mask];
-    const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    const auto dif =
-        static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-    if (dif == 0) {
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        slot.event = event;
-        slot.seq.store(pos + 1, std::memory_order_release);
-        return true;
-      }
-    } else if (dif < 0) {
-      return false;  // full
-    } else {
-      pos = enqueue_pos_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-bool Journal::try_dequeue(JournalEvent& out) {
-  const std::size_t mask = capacity_ - 1;
-  std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    Slot& slot = slots_[pos & mask];
-    const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    const auto dif = static_cast<std::int64_t>(seq) -
-                     static_cast<std::int64_t>(pos + 1);
-    if (dif == 0) {
-      if (dequeue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        out = slot.event;
-        slot.seq.store(pos + capacity_, std::memory_order_release);
-        return true;
-      }
-    } else if (dif < 0) {
-      return false;  // empty
-    } else {
-      pos = dequeue_pos_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
 void Journal::emit_runtime(std::uint32_t category, const JournalEvent& event) {
   if ((mask_.load(std::memory_order_relaxed) & category) == 0) return;
-  if (try_enqueue(event)) {
+  if (ring_.try_push(event)) {
     emitted_.fetch_add(1, std::memory_order_relaxed);
     m_emitted_.inc();
     if (autopump_.load(std::memory_order_relaxed) &&
-        approx_size() > capacity_ / 2) {
+        approx_size() > capacity() / 2) {
       pump();
     }
   } else {
@@ -460,17 +289,11 @@ void Journal::emit_runtime(std::uint32_t category, const JournalEvent& event) {
   }
 }
 
-std::size_t Journal::approx_size() const {
-  const std::uint64_t tail = enqueue_pos_.load(std::memory_order_relaxed);
-  const std::uint64_t head = dequeue_pos_.load(std::memory_order_relaxed);
-  return tail > head ? static_cast<std::size_t>(tail - head) : 0;
-}
-
 std::size_t Journal::pump() {
   std::lock_guard<std::mutex> lock(consumer_mutex_);
   std::size_t moved = 0;
   JournalEvent event;
-  while (try_dequeue(event)) {
+  while (ring_.try_pop(event)) {
     if (writer_ != nullptr) writer_->write(event);
     recent_.push_back(event);
     while (recent_.size() > kRecentCapacity) recent_.pop_front();
@@ -505,7 +328,7 @@ void Journal::close_writer() {
 void Journal::reset() {
   std::lock_guard<std::mutex> lock(consumer_mutex_);
   JournalEvent discard;
-  while (try_dequeue(discard)) {
+  while (ring_.try_pop(discard)) {
   }
   recent_.clear();
   emitted_.store(0, std::memory_order_relaxed);

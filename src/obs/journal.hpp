@@ -15,14 +15,13 @@
 //  * zero overhead when idle — the journal is disabled by default; an
 //    instrumented call site costs one relaxed atomic load;
 //  * producers never block or allocate — emit() claims a slot in a
-//    lock-free bounded MPSC ring (Vyukov-style sequence numbers) and
-//    copies the POD event in; when the ring is full the event is
+//    lock-free bounded MPSC ring (netbase/mpsc_ring.hpp) and copies
+//    the POD event in; when the ring is full the event is
 //    dropped and counted, never waited for;
 //  * draining is strictly pull — pump() (the single consumer, guarded
 //    by a mutex so the exit-time flush and the HTTP /journal/tail
-//    endpoint can share it) moves events to the attached writer (NDJSON
-//    or a length-prefixed binary format) and a bounded recent-events
-//    buffer;
+//    endpoint can share it) moves events to the attached NDJSON writer
+//    and a bounded recent-events buffer;
 //  * categories are filterable at run time (set_enabled_categories),
 //    so the chatty message-level layer can stay off in production
 //    while the detector-decision layer records.
@@ -42,6 +41,7 @@
 #include <vector>
 
 #include "netbase/ip.hpp"
+#include "netbase/mpsc_ring.hpp"
 #include "netbase/time.hpp"
 #include "obs/metrics.hpp"
 
@@ -136,7 +136,7 @@ enum class JournalEventType : std::uint16_t {
   kWireCollision = 85,        // a = 1 kept our initiated connection
 };
 
-/// Snake-case wire name ("zombie_declared"). Used by both serializers.
+/// Snake-case wire name ("zombie_declared").
 std::string_view to_string(JournalEventType type);
 std::optional<JournalEventType> parse_event_type(std::string_view name);
 
@@ -168,39 +168,26 @@ static_assert(std::is_trivially_copyable_v<JournalEvent>,
 std::string to_ndjson(const JournalEvent& event);
 /// Parses one NDJSON line back. nullopt on malformed input.
 std::optional<JournalEvent> parse_ndjson(std::string_view line);
-/// Appends one length-prefixed binary record.
-void append_binary(std::vector<std::uint8_t>& out, const JournalEvent& event);
 
-enum class JournalFormat { kNdjson, kBinary };
-
-/// Parses "ndjson" / "bin" / "binary" (the --journal-format values).
-std::optional<JournalFormat> parse_journal_format(std::string_view text);
-
-/// File header of the binary format; NDJSON files start with '{'.
-inline constexpr std::string_view kJournalBinaryMagic = "ZSJL1\n";
-
-/// Streams events to a file in either format. Not thread-safe: owned
-/// by the journal's consumer side.
+/// Streams events to an NDJSON file, one line each. Not thread-safe:
+/// owned by the journal's consumer side.
 class JournalWriter {
  public:
   /// Throws std::runtime_error if the file cannot be opened.
-  JournalWriter(const std::string& path, JournalFormat format);
+  explicit JournalWriter(const std::string& path);
 
   void write(const JournalEvent& event);
   void flush();
   const std::string& path() const { return path_; }
-  JournalFormat format() const { return format_; }
 
  private:
   std::string path_;
-  JournalFormat format_;
   std::ofstream out_;
 };
 
-/// Reads a journal file back, auto-detecting the format; "-" reads
-/// stdin (for piped journals). Throws std::runtime_error on an
-/// unreadable or structurally corrupt file; unparseable NDJSON lines
-/// are skipped (foreign tools may append).
+/// Reads an NDJSON journal file back; "-" reads stdin (for piped
+/// journals). Throws std::runtime_error on an unreadable file;
+/// unparseable lines are skipped (foreign tools may append).
 std::vector<JournalEvent> read_journal_file(const std::string& path);
 
 class Journal {
@@ -256,9 +243,9 @@ class Journal {
 
   std::uint64_t emitted() const { return emitted_.load(std::memory_order_relaxed); }
   std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
   /// Events currently buffered (approximate under concurrent writers).
-  std::size_t approx_size() const;
+  std::size_t approx_size() const { return ring_.approx_size(); }
 
   /// Binds registry counters (zs_journal_events_*_total) so journal
   /// health shows up in /metrics. global() binds automatically.
@@ -269,14 +256,6 @@ class Journal {
   void reset();
 
  private:
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};
-    JournalEvent event;
-  };
-
-  bool try_enqueue(const JournalEvent& event);
-  bool try_dequeue(JournalEvent& out);  // callers hold consumer_mutex_
-
   std::atomic<std::uint32_t> mask_{0};
   std::atomic<bool> autopump_{false};
   std::atomic<std::uint64_t> emitted_{0};
@@ -284,10 +263,7 @@ class Journal {
   Counter m_emitted_;
   Counter m_dropped_;
 
-  std::size_t capacity_ = 0;  // power of two
-  std::unique_ptr<Slot[]> slots_;
-  alignas(64) std::atomic<std::uint64_t> enqueue_pos_{0};
-  alignas(64) std::atomic<std::uint64_t> dequeue_pos_{0};
+  netbase::MpscRing<JournalEvent> ring_;  // drained under consumer_mutex_
 
   mutable std::mutex consumer_mutex_;
   std::deque<JournalEvent> recent_;

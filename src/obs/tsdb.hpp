@@ -36,8 +36,8 @@
 //   GET /tsdb/metrics                                stored names
 //   GET /alerts                                      rule states
 //
-// The store costs nothing until start(): the tools leave it stopped
-// when run with --tsdb-cadence-ms 0.
+// The store costs nothing until start(): zsdetect and zssim start it
+// only while they serve HTTP (obs/session.hpp).
 
 #pragma once
 

@@ -203,5 +203,35 @@ TEST(LongLivedSchedule, RejectsOffSlotQuery) {
   EXPECT_THROW(schedule.prefix_for(utc(2024, 6, 4, 11, 44, 0)), std::invalid_argument);
 }
 
+TEST(NamedSchedule, EachNameMapsToItsSchedule) {
+  using Approach = LongLivedBeaconSchedule::Approach;
+  const auto start = utc(2024, 6, 10);
+  const auto end = utc(2024, 6, 12);
+  const auto same = [](const std::vector<BeaconEvent>& a, const std::vector<BeaconEvent>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].prefix != b[i].prefix || a[i].announce_time != b[i].announce_time ||
+          a[i].withdraw_time != b[i].withdraw_time || a[i].superseded != b[i].superseded)
+        return false;
+    }
+    return true;
+  };
+  const auto ris = schedule_events("ris", start, end);
+  const auto daily = schedule_events("daily", start, end);
+  const auto fifteen = schedule_events("fifteen", start, end);
+  ASSERT_TRUE(ris.has_value() && daily.has_value() && fifteen.has_value());
+  EXPECT_TRUE(same(*ris, RisBeaconSchedule::classic().events(start, end)));
+  EXPECT_TRUE(same(*daily, LongLivedBeaconSchedule::paper_deployment(Approach::kDaily)
+                               .events(start, end)));
+  EXPECT_TRUE(same(*fifteen, LongLivedBeaconSchedule::paper_deployment(Approach::kFifteenDay)
+                                 .events(start, end)));
+  EXPECT_FALSE(same(*daily, *fifteen));
+}
+
+TEST(NamedSchedule, RefusesUnknownName) {
+  EXPECT_FALSE(schedule_events("weekly", utc(2024, 6, 10), utc(2024, 6, 12)).has_value());
+  EXPECT_FALSE(schedule_events("", utc(2024, 6, 10), utc(2024, 6, 12)).has_value());
+}
+
 }  // namespace
 }  // namespace zombiescope::beacon

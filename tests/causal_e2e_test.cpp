@@ -124,7 +124,7 @@ TEST(ObsCausalE2E, JournalRoundTripPreservesLocalization) {
   const std::uint32_t saved = journal.enabled_categories();
   journal.set_enabled_categories(obs::kCatPropagation);
   journal.attach_writer(
-      std::make_unique<obs::JournalWriter>(path, obs::JournalFormat::kNdjson));
+      std::make_unique<obs::JournalWriter>(path));
 
   FaultScenarioSpec spec;
   spec.seed = 3;

@@ -1,7 +1,6 @@
-// Tests for the zombie flight recorder: event codec round-trips
-// (NDJSON and binary), category filtering, ring overflow accounting,
-// file I/O with format auto-detection, and lock-free emission under
-// concurrent writers.
+// Tests for the zombie flight recorder: NDJSON codec round-trips,
+// category filtering, ring overflow accounting, file I/O, and
+// lock-free emission under concurrent writers.
 
 #include <gtest/gtest.h>
 
@@ -108,7 +107,7 @@ TEST(ObsJournalCodec, NdjsonRejectsMalformed) {
       parse_ndjson("{\"ev\":\"zombie_declared\",\"t\":1,\"prefix\":\"nope\"}").has_value());
 }
 
-TEST(ObsJournalCodec, BinaryAndNdjsonFilesRoundTripIdentically) {
+TEST(ObsJournalCodec, NdjsonFileRoundTrips) {
   std::vector<JournalEvent> events;
   events.push_back(sample_event());
   JournalEvent v4 = sample_event();
@@ -125,37 +124,12 @@ TEST(ObsJournalCodec, BinaryAndNdjsonFilesRoundTripIdentically) {
   events.push_back(bare);
 
   const std::string ndjson_path = temp_path("roundtrip.ndjson");
-  const std::string binary_path = temp_path("roundtrip.bin");
   {
-    JournalWriter ndjson(ndjson_path, JournalFormat::kNdjson);
-    JournalWriter binary(binary_path, JournalFormat::kBinary);
-    for (const auto& ev : events) {
-      ndjson.write(ev);
-      binary.write(ev);
-    }
+    JournalWriter ndjson(ndjson_path);
+    for (const auto& ev : events) ndjson.write(ev);
   }
   EXPECT_EQ(read_journal_file(ndjson_path), events);
-  EXPECT_EQ(read_journal_file(binary_path), events);
   std::remove(ndjson_path.c_str());
-  std::remove(binary_path.c_str());
-}
-
-TEST(ObsJournalCodec, CorruptBinaryFileThrows) {
-  const std::string path = temp_path("corrupt.bin");
-  {
-    JournalWriter writer(path, JournalFormat::kBinary);
-    writer.write(sample_event());
-  }
-  // Truncate mid-record: keep the magic plus a dangling length prefix.
-  std::string magic(kJournalBinaryMagic);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(magic.data(), 1, magic.size(), f);
-  const unsigned char dangling[4] = {0, 0, 0, 74};
-  std::fwrite(dangling, 1, sizeof(dangling), f);
-  std::fclose(f);
-  EXPECT_THROW(read_journal_file(path), std::runtime_error);
-  std::remove(path.c_str());
 }
 
 TEST(ObsJournal, DisabledByDefaultAndRuntimeMaskFilters) {
@@ -213,7 +187,7 @@ TEST(ObsJournal, PumpStreamsToAttachedWriter) {
   const std::string path = temp_path("pump.ndjson");
   Journal journal(64);
   journal.set_enabled_categories(kCatAll);
-  journal.attach_writer(std::make_unique<JournalWriter>(path, JournalFormat::kNdjson));
+  journal.attach_writer(std::make_unique<JournalWriter>(path));
   JournalEvent ev = sample_event();
   for (int i = 0; i < 5; ++i) {
     ev.a = i;

@@ -304,6 +304,17 @@ TEST(Time, RejectsInvalidCivil) {
   EXPECT_THROW(from_civil({2024, 6, 1, 24, 0, 0}), std::invalid_argument);
 }
 
+TEST(Time, ParseDateAcceptsCalendarDates) {
+  EXPECT_EQ(parse_date("2024-06-10"), utc(2024, 6, 10));
+  EXPECT_EQ(parse_date("2024-02-29"), utc(2024, 2, 29));  // leap year
+}
+
+TEST(Time, ParseDateRejectsMalformedText) {
+  for (const char* text : {"2024-06-10x", "2023-02-29", "2024-00-10", "2024-13-10",
+                           "2024-06-00", "2024-06-32", "2024-06", "2024/06/10", "", "x"})
+    EXPECT_FALSE(parse_date(text).has_value()) << text;
+}
+
 TEST(Rng, DeterministicAndForkIndependent) {
   Rng a(12345);
   Rng b(12345);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -320,11 +322,22 @@ TEST(ObsExport, JsonExtraSectionsAppearAtTopLevel) {
   EXPECT_NE(json.find("\"peak_rss_bytes\": 4096"), std::string::npos);
 }
 
-TEST(ObsExport, ParseFormat) {
-  EXPECT_EQ(parse_format("prom"), Format::kPrometheus);
-  EXPECT_EQ(parse_format("prometheus"), Format::kPrometheus);
-  EXPECT_EQ(parse_format("json"), Format::kJson);
-  EXPECT_EQ(parse_format("xml"), std::nullopt);
+TEST(ObsExport, MetricsFileFormatFollowsPath) {
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string prom = ::testing::TempDir() + "obs_export_format.prom";
+  const std::string json = ::testing::TempDir() + "obs_export_format.json";
+  const std::string other = ::testing::TempDir() + "obs_export_format.prom.txt";
+  write_metrics_file(prom);
+  write_metrics_file(json);
+  write_metrics_file(other);
+  EXPECT_TRUE(prometheus_format_ok(read(prom)));
+  EXPECT_NE(read(prom).find("# HELP zs_build_info"), std::string::npos);
+  EXPECT_NE(read(json).find("\"schema\": \"zsobs-v1\""), std::string::npos);
+  EXPECT_NE(read(other).find("\"schema\": \"zsobs-v1\""), std::string::npos);
+  for (const std::string& path : {prom, json, other}) std::remove(path.c_str());
 }
 
 TEST(ObsConcurrency, CountersAreThreadSafe) {

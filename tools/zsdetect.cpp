@@ -19,39 +19,22 @@
 //   --no-dedup           report with double-counting (baseline methodology)
 //   --root-cause         run palm-tree inference per outbreak
 //   --max-outbreaks N    print at most N outbreaks (default 20)
-//   --metrics-out FILE   write a telemetry snapshot after the run
-//   --metrics-format F   snapshot format: prom | json (default json)
-//   --trace-out FILE     write the per-stage span tree as JSON
-//   --journal-out FILE   record the zombie-lifecycle event journal
-//                        (analyze it with zsreport)
-//   --journal-format F   journal format: ndjson | bin (default ndjson)
-//   --journal-categories C  comma list: run,state,detector,noise,
-//                        lifespan,collector,fault,propagation,all
-//                        (default all)
-//   --http-port N        serve /metrics /healthz /spans /journal/tail
-//                        /causal /profile /heap on port N while
-//                        running (0 = ephemeral)
-//   --profile-out FILE   sample the whole run with zsprof and write
-//                        folded stacks (flamegraph-ready) to FILE
-//   --heap-out FILE      profile allocations with zsheap and write the
-//                        zsheap-v1 JSON report (per-span bytes, top
-//                        sampled sites) to FILE
+//
+// plus the telemetry options every long-running tool shares
+// (obs/session.hpp): --metrics-out, --trace-out, --journal-out,
+// --journal-categories, --http-port, --profile-out, --heap-out and
+// --version. A missing or malformed value prints usage and exits 2.
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
-#include <string_view>
+#include <vector>
 
 #include "beacon/schedule.hpp"
-#include "obs/build_info.hpp"
 #include "mrt/codec.hpp"
-#include "obs/export.hpp"
-#include "obs/heap.hpp"
-#include "obs/http.hpp"
 #include "obs/journal.hpp"
-#include "obs/prof.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
-#include "obs/tsdb.hpp"
 #include "zombie/interval_detector.hpp"
 #include "zombie/longlived.hpp"
 #include "zombie/noisy.hpp"
@@ -66,24 +49,9 @@ namespace {
   std::fprintf(stderr,
                "usage: %s --updates FILE --schedule ris|daily|fifteen --start YYYY-MM-DD\n"
                "          --end YYYY-MM-DD [--ribs FILE] [--threshold MINUTES]\n"
-               "          [--filter-noisy] [--no-dedup] [--root-cause] [--max-outbreaks N]\n"
-               "          [--metrics-out FILE] [--metrics-format prom|json]\n"
-               "          [--trace-out FILE] [--journal-out FILE]\n"
-               "          [--journal-format ndjson|bin] [--journal-categories LIST]\n"
-               "          [--http-port N] [--tsdb-cadence-ms N (0 disables)]\n"
-               "          [--profile-out FILE] [--heap-out FILE]\n"
-               "          [--version]\n",
-               argv0);
+               "          [--filter-noisy] [--no-dedup] [--root-cause] [--max-outbreaks N]\n%s",
+               argv0, obs::Session::kUsage);
   std::exit(2);
-}
-
-netbase::TimePoint parse_date(const std::string& text) {
-  int y = 0, m = 0, d = 0;
-  if (std::sscanf(text.c_str(), "%d-%d-%d", &y, &m, &d) != 3) {
-    std::fprintf(stderr, "error: bad date '%s' (want YYYY-MM-DD)\n", text.c_str());
-    std::exit(2);
-  }
-  return netbase::utc(y, m, d);
 }
 
 struct Options {
@@ -92,81 +60,40 @@ struct Options {
   std::string schedule = "ris";
   netbase::TimePoint start = 0;
   netbase::TimePoint end = 0;
+  std::vector<beacon::BeaconEvent> events;
   netbase::Duration threshold = 90 * netbase::kMinute;
   bool filter_noisy = false;
   bool dedup = true;
   bool root_cause = false;
   int max_outbreaks = 20;
-  std::string metrics_out;
-  std::string trace_out;
-  obs::Format metrics_format = obs::Format::kJson;
-  std::string journal_out;
-  obs::JournalFormat journal_format = obs::JournalFormat::kNdjson;
-  std::uint32_t journal_categories = obs::kCatAll;
-  int http_port = -1;           // -1 = no HTTP server
-  long tsdb_cadence_ms = 1000;  // 0 disables the /tsdb store
-  std::string profile_out;
-  std::string heap_out;
 };
 
-Options parse_options(int argc, char** argv) {
+Options parse_options(obs::Session& session, int argc, char** argv) {
   Options opt;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage(argv[0]);
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--updates") opt.updates_path = need_value(i);
-    else if (arg == "--ribs") opt.ribs_path = need_value(i);
-    else if (arg == "--schedule") opt.schedule = need_value(i);
-    else if (arg == "--start") opt.start = parse_date(need_value(i));
-    else if (arg == "--end") opt.end = parse_date(need_value(i));
-    else if (arg == "--threshold")
-      opt.threshold = std::stol(need_value(i)) * netbase::kMinute;
+  const bool parsed = session.parse(argc, argv, [&](const std::string& arg, const auto& value) {
+    if (arg == "--updates") opt.updates_path = value();
+    else if (arg == "--ribs") opt.ribs_path = value();
+    else if (arg == "--schedule") opt.schedule = value();
+    else if (arg == "--start") opt.start = netbase::parse_date(value()).value();
+    else if (arg == "--end") opt.end = netbase::parse_date(value()).value();
+    else if (arg == "--threshold") opt.threshold = std::stol(value()) * netbase::kMinute;
     else if (arg == "--filter-noisy") opt.filter_noisy = true;
     else if (arg == "--no-dedup") opt.dedup = false;
     else if (arg == "--root-cause") opt.root_cause = true;
-    else if (arg == "--max-outbreaks") opt.max_outbreaks = std::stoi(need_value(i));
-    else if (arg == "--metrics-out") opt.metrics_out = need_value(i);
-    else if (arg == "--trace-out") opt.trace_out = need_value(i);
-    else if (arg == "--metrics-format") {
-      const auto parsed = obs::parse_format(need_value(i));
-      if (!parsed.has_value()) usage(argv[0]);
-      opt.metrics_format = *parsed;
-    } else if (arg == "--journal-out") opt.journal_out = need_value(i);
-    else if (arg == "--journal-format") {
-      const auto parsed = obs::parse_journal_format(need_value(i));
-      if (!parsed.has_value()) usage(argv[0]);
-      opt.journal_format = *parsed;
-    } else if (arg == "--journal-categories") {
-      const auto parsed = obs::parse_categories(need_value(i));
-      if (!parsed.has_value()) usage(argv[0]);
-      opt.journal_categories = *parsed;
-    } else if (arg == "--http-port") opt.http_port = std::stoi(need_value(i));
-    else if (arg == "--tsdb-cadence-ms") opt.tsdb_cadence_ms = std::stol(need_value(i));
-    else if (arg == "--profile-out") opt.profile_out = need_value(i);
-    else if (arg == "--heap-out") opt.heap_out = need_value(i);
-    else usage(argv[0]);
-  }
-  if (opt.updates_path.empty() || opt.start == 0 || opt.end == 0 || opt.end <= opt.start)
+    else if (arg == "--max-outbreaks") opt.max_outbreaks = std::stoi(value());
+    else return false;
+    return true;
+  });
+  if (!parsed || opt.updates_path.empty() || opt.start == 0 || opt.end == 0 ||
+      opt.end <= opt.start)
     usage(argv[0]);
+  auto events = beacon::schedule_events(opt.schedule, opt.start, opt.end);
+  if (!events.has_value()) {
+    std::fprintf(stderr, "error: unknown schedule '%s'\n", opt.schedule.c_str());
+    usage(argv[0]);
+  }
+  opt.events = std::move(*events);
   return opt;
-}
-
-std::vector<beacon::BeaconEvent> make_events(const Options& opt) {
-  if (opt.schedule == "ris")
-    return beacon::RisBeaconSchedule::classic().events(opt.start, opt.end);
-  if (opt.schedule == "daily")
-    return beacon::LongLivedBeaconSchedule::paper_deployment(
-               beacon::LongLivedBeaconSchedule::Approach::kDaily)
-        .events(opt.start, opt.end);
-  if (opt.schedule == "fifteen")
-    return beacon::LongLivedBeaconSchedule::paper_deployment(
-               beacon::LongLivedBeaconSchedule::Approach::kFifteenDay)
-        .events(opt.start, opt.end);
-  std::fprintf(stderr, "error: unknown schedule '%s'\n", opt.schedule.c_str());
-  std::exit(2);
 }
 
 void print_outbreak(const zombie::ZombieOutbreak& outbreak, bool root_cause) {
@@ -194,7 +121,7 @@ int run(const Options& opt) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  const auto events = make_events(opt);
+  const auto& events = opt.events;
   std::fprintf(stderr, "loaded %zu records, %zu beacon events [%s .. %s]\n", updates.size(),
                events.size(), netbase::format_date(opt.start).c_str(),
                netbase::format_date(opt.end).c_str());
@@ -340,47 +267,9 @@ int run(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--version") {
-      std::puts(obs::identity_line("zsdetect").c_str());
-      return 0;
-    }
-  }
-  const Options opt = parse_options(argc, argv);
-
-  // Covers the whole run (MRT load + detector passes + reporting); the
-  // folded stacks land in the file when main returns.
-  obs::ScopedProfileSession profile(opt.profile_out);
-  obs::ScopedHeapSession heap(opt.heap_out);
-
-  obs::Journal& journal = obs::Journal::global();
-  if (!opt.journal_out.empty()) {
-    try {
-      journal.attach_writer(
-          std::make_unique<obs::JournalWriter>(opt.journal_out, opt.journal_format));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-    journal.set_enabled_categories(opt.journal_categories);
-    journal.set_autopump(true);
-  }
-  // Retained metrics history for the duration of the run; only worth
-  // sampling when the HTTP port (the only way to query it) is up.
-  obs::TsdbConfig tsdb_config;
-  tsdb_config.cadence_ms = opt.tsdb_cadence_ms > 0 ? opt.tsdb_cadence_ms : 1000;
-  obs::Tsdb tsdb(tsdb_config);
-  obs::HttpServer http;
-  if (opt.http_port >= 0) {
-    const bool tsdb_on = opt.tsdb_cadence_ms > 0;
-    if (tsdb_on) tsdb.attach_http(http);
-    if (!http.start(static_cast<std::uint16_t>(opt.http_port))) {
-      std::fprintf(stderr, "error: cannot bind HTTP port %d\n", opt.http_port);
-      return 1;
-    }
-    if (tsdb_on) tsdb.start();
-    std::fprintf(stderr, "serving http://127.0.0.1:%u/metrics\n", http.port());
-  }
+  obs::Session session("zsdetect", obs::Session::Kind::kBatch);
+  const Options opt = parse_options(session, argc, argv);
+  if (!session.start() || !session.serve("/metrics")) return 1;
 
   int rc = 0;
   {
@@ -388,22 +277,5 @@ int main(int argc, char** argv) {
     obs::ScopedSpan root("zsdetect.run");
     rc = run(opt);
   }
-
-  try {
-    if (!opt.metrics_out.empty()) obs::write_metrics_file(opt.metrics_out, opt.metrics_format);
-    if (!opt.trace_out.empty()) obs::write_trace_file(opt.trace_out);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-  if (!opt.journal_out.empty()) {
-    journal.close_writer();
-    std::fprintf(stderr, "journal: %llu event(s) written to %s (%llu dropped)\n",
-                 static_cast<unsigned long long>(journal.emitted()),
-                 opt.journal_out.c_str(),
-                 static_cast<unsigned long long>(journal.dropped()));
-  }
-  http.stop();
-  tsdb.stop();
-  return rc;
+  return session.finish() ? rc : 1;
 }

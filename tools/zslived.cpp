@@ -26,14 +26,23 @@
 //       (repeatable) dials out as well. curl /sessions for the live
 //       session table.
 //
+// A replay waits out a full shard queue, so its zombie set is batch's
+// at any --speed; the live feeds (--tcp-port, --bgp-listen,
+// --tap-demo) never slow down for the detector: they drop and count.
+//
 // Endpoints: /live/zombies (JSON snapshot, ETag = epoch), /live/events
-// (SSE), /live/stats (shard health), /sessions (BGP mode), plus the
-// standard zsobs set (/metrics, /healthz, /spans, /journal/tail,
-// /causal, /profile, /heap).
+// (SSE), /live/stats (shard health), /sessions (BGP mode), /tsdb/* and
+// /alerts (the time-series store and its alert rules, sampled every
+// second), plus the standard zsobs set (/metrics, /healthz, /spans,
+// /journal/tail, /causal, /profile, /heap). While HTTP is served, a
+// loopback subscriber reads /live/events to measure end-to-end
+// delivery latency (/latency).
 //
 // Each listener (--http-port, --tcp-port, --bgp-listen) runs on one
 // event loop and holds at most 64 connections at once; SSE frames go
-// out as they are published, with no polling interval to tune.
+// out as they are published, with no polling interval to tune. The
+// telemetry options are the ones every long-running tool shares
+// (obs/session.hpp).
 
 #include <atomic>
 #include <chrono>
@@ -41,7 +50,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -51,14 +59,9 @@
 #include "live/loopback.hpp"
 #include "live/service.hpp"
 #include "netbase/time.hpp"
-#include "obs/build_info.hpp"
-#include "obs/export.hpp"
-#include "obs/heap.hpp"
-#include "obs/http.hpp"
 #include "obs/journal.hpp"
-#include "obs/prof.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
-#include "obs/tsdb.hpp"
 
 using namespace zombiescope;
 
@@ -73,26 +76,9 @@ namespace {
       "          [--speed N] [--duration WALL_SECONDS]\n"
       "          [--schedule ris|daily|fifteen --start YYYY-MM-DD --end YYYY-MM-DD]\n"
       "          [--shards N] [--queue-depth N] [--threshold MINUTES]\n"
-      "          [--block-on-full] [--http-port N] [--print-zombies]\n"
-      "          [--stale-after SECONDS] [--no-loopback]\n"
-      "          [--tsdb-cadence-ms N (0 disables)]\n"
-      "          [--metrics-out FILE] [--metrics-format prom|json]\n"
-      "          [--trace-out FILE] [--journal-out FILE]\n"
-      "          [--journal-format ndjson|bin] [--journal-categories LIST]\n"
-      "          [--profile-out FILE] [--heap-out FILE] [--version]\n",
-      argv0);
+      "          [--print-zombies] [--stale-after SECONDS]\n%s",
+      argv0, obs::Session::kUsage);
   std::exit(2);
-}
-
-netbase::TimePoint parse_date(const char* argv0, const std::string& text) {
-  int y = 0;
-  int m = 0;
-  int d = 0;
-  if (std::sscanf(text.c_str(), "%d-%d-%d", &y, &m, &d) != 3) {
-    std::fprintf(stderr, "error: bad date '%s' (want YYYY-MM-DD)\n", text.c_str());
-    usage(argv0);
-  }
-  return netbase::utc(y, m, d);
 }
 
 volatile std::sig_atomic_t g_interrupted = 0;
@@ -101,13 +87,7 @@ void on_signal(int) { g_interrupted = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--version") {
-      std::puts(obs::identity_line("zslived").c_str());
-      return 0;
-    }
-  }
-
+  obs::Session session("zslived", obs::Session::Kind::kDaemon);
   std::string replay_path;
   int tcp_port = -1;
   bool tap_demo = false;
@@ -122,81 +102,37 @@ int main(int argc, char** argv) {
   netbase::TimePoint start = 0;
   netbase::TimePoint end = 0;
   live::LiveConfig live_config;
-  int http_port = -1;
   bool print_zombies = false;
   // /healthz readiness threshold: 0 keeps the plain liveness probe;
   // > 0 answers 503 degraded once no shard published within it.
   double stale_after = 0.0;
-  // The end-to-end delivery-latency self-subscriber (live/loopback.hpp)
-  // runs whenever HTTP is served; --no-loopback opts out.
-  bool loopback = true;
-  // zstsdb sampler cadence; 0 disables the store (and the alert rules
-  // that ride on it).
-  long tsdb_cadence_ms = 1000;
-  std::string metrics_out;
-  obs::Format metrics_format = obs::Format::kJson;
-  std::string trace_out;
-  std::string journal_out;
-  obs::JournalFormat journal_format = obs::JournalFormat::kNdjson;
-  std::uint32_t journal_categories = obs::kCatAll;
-  std::string profile_out;
-  std::string heap_out;
 
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage(argv[0]);
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg == "--replay") replay_path = need_value(i);
-      else if (arg == "--tcp-port") tcp_port = std::stoi(need_value(i));
-      else if (arg == "--tap-demo") tap_demo = true;
-      else if (arg == "--bgp-listen") bgp_port = std::stoi(need_value(i));
-      else if (arg == "--bgp-peer") bgp_peers.push_back(need_value(i));
-      else if (arg == "--local-asn")
-        local_asn = static_cast<std::uint32_t>(std::stoul(need_value(i)));
-      else if (arg == "--gr-restart") gr_restart = std::stol(need_value(i));
-      else if (arg == "--llgr-stale") llgr_stale = std::stol(need_value(i));
-      else if (arg == "--speed") speed = std::stod(need_value(i));
-      else if (arg == "--duration") duration = std::stol(need_value(i));
-      else if (arg == "--schedule") schedule = need_value(i);
-      else if (arg == "--start") start = parse_date(argv[0], need_value(i));
-      else if (arg == "--end") end = parse_date(argv[0], need_value(i));
-      else if (arg == "--shards")
-        live_config.shards = static_cast<std::size_t>(std::stoul(need_value(i)));
-      else if (arg == "--queue-depth")
-        live_config.queue_depth = static_cast<std::size_t>(std::stoul(need_value(i)));
-      else if (arg == "--threshold")
-        live_config.detector.threshold = std::stol(need_value(i)) * netbase::kMinute;
-      else if (arg == "--block-on-full") live_config.block_on_full = true;
-      else if (arg == "--http-port") http_port = std::stoi(need_value(i));
-      else if (arg == "--print-zombies") print_zombies = true;
-      else if (arg == "--stale-after") stale_after = std::stod(need_value(i));
-      else if (arg == "--no-loopback") loopback = false;
-      else if (arg == "--tsdb-cadence-ms") tsdb_cadence_ms = std::stol(need_value(i));
-      else if (arg == "--metrics-out") metrics_out = need_value(i);
-      else if (arg == "--metrics-format") {
-        const auto parsed = obs::parse_format(need_value(i));
-        if (!parsed.has_value()) usage(argv[0]);
-        metrics_format = *parsed;
-      } else if (arg == "--trace-out") trace_out = need_value(i);
-      else if (arg == "--journal-out") journal_out = need_value(i);
-      else if (arg == "--journal-format") {
-        const auto parsed = obs::parse_journal_format(need_value(i));
-        if (!parsed.has_value()) usage(argv[0]);
-        journal_format = *parsed;
-      } else if (arg == "--journal-categories") {
-        const auto parsed = obs::parse_categories(need_value(i));
-        if (!parsed.has_value()) usage(argv[0]);
-        journal_categories = *parsed;
-      } else if (arg == "--profile-out") profile_out = need_value(i);
-      else if (arg == "--heap-out") heap_out = need_value(i);
-      else usage(argv[0]);
-    } catch (const std::exception&) {
-      usage(argv[0]);
-    }
-  }
+  const bool parsed = session.parse(argc, argv, [&](const std::string& arg, const auto& value) {
+    if (arg == "--replay") replay_path = value();
+    else if (arg == "--tcp-port") tcp_port = std::stoi(value());
+    else if (arg == "--tap-demo") tap_demo = true;
+    else if (arg == "--bgp-listen") bgp_port = std::stoi(value());
+    else if (arg == "--bgp-peer") bgp_peers.push_back(value());
+    else if (arg == "--local-asn") local_asn = static_cast<std::uint32_t>(std::stoul(value()));
+    else if (arg == "--gr-restart") gr_restart = std::stol(value());
+    else if (arg == "--llgr-stale") llgr_stale = std::stol(value());
+    else if (arg == "--speed") speed = std::stod(value());
+    else if (arg == "--duration") duration = std::stol(value());
+    else if (arg == "--schedule") schedule = value();
+    else if (arg == "--start") start = netbase::parse_date(value()).value();
+    else if (arg == "--end") end = netbase::parse_date(value()).value();
+    else if (arg == "--shards")
+      live_config.shards = static_cast<std::size_t>(std::stoul(value()));
+    else if (arg == "--queue-depth")
+      live_config.queue_depth = static_cast<std::size_t>(std::stoul(value()));
+    else if (arg == "--threshold")
+      live_config.detector.threshold = std::stol(value()) * netbase::kMinute;
+    else if (arg == "--print-zombies") print_zombies = true;
+    else if (arg == "--stale-after") stale_after = std::stod(value());
+    else return false;
+    return true;
+  });
+  if (!parsed) usage(argv[0]);
 
   const int feed_modes = (replay_path.empty() ? 0 : 1) + (tcp_port >= 0 ? 1 : 0) +
                          (tap_demo ? 1 : 0) + (bgp_port >= 0 ? 1 : 0);
@@ -214,22 +150,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --schedule needs --start and --end\n");
     usage(argv[0]);
   }
-
-  obs::ScopedProfileSession profile(profile_out);
-  obs::ScopedHeapSession heap(heap_out);
-  obs::Journal& journal = obs::Journal::global();
-  if (!journal_out.empty()) {
-    try {
-      journal.attach_writer(
-          std::make_unique<obs::JournalWriter>(journal_out, journal_format));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
+  // Beacon expectations: replay/tcp/bgp use the operator-provided
+  // schedule; the tap generates its own.
+  std::vector<beacon::BeaconEvent> events;
+  if (!schedule.empty()) {
+    auto named = beacon::schedule_events(schedule, start, end);
+    if (!named.has_value()) {
+      std::fprintf(stderr, "error: unknown schedule '%s'\n", schedule.c_str());
+      usage(argv[0]);
     }
-    journal.set_enabled_categories(journal_categories);
-    // Shard workers emit concurrently; only the serving/drain side may
-    // pump, so autopump (which pumps from producers) stays off.
+    events = std::move(*named);
   }
+  if (!session.start()) return 1;
 
   // The tap demo defaults to a threshold scaled to its short beacon
   // cycle so transitions happen within a brief soak.
@@ -237,11 +169,12 @@ int main(int argc, char** argv) {
     live_config.detector.threshold = 5 * netbase::kMinute;
   }
 
+  // A replay is an archive, not a wire: it waits out backpressure
+  // instead of dropping, so its zombie set is batch's at any --speed.
+  live_config.block_on_full = !replay_path.empty();
   live::LiveService service(live_config);
   service.start();
 
-  // Beacon expectations: replay/tcp use the operator-provided
-  // schedule; the tap generates its own.
   live::SimTapConfig tap_config;
   if (tap_demo) {
     tap_config.speed = speed > 0 ? speed : 60.0;
@@ -252,23 +185,6 @@ int main(int argc, char** argv) {
   }
   std::unique_ptr<live::FeedSource> feed;
   live::BgpFeedSource* bgp_feed = nullptr;  // borrowed view of `feed`
-  std::vector<beacon::BeaconEvent> events;
-  if (!schedule.empty()) {
-    if (schedule == "ris") {
-      events = beacon::RisBeaconSchedule::classic().events(start, end);
-    } else if (schedule == "daily") {
-      events = beacon::LongLivedBeaconSchedule::paper_deployment(
-                   beacon::LongLivedBeaconSchedule::Approach::kDaily)
-                   .events(start, end);
-    } else if (schedule == "fifteen") {
-      events = beacon::LongLivedBeaconSchedule::paper_deployment(
-                   beacon::LongLivedBeaconSchedule::Approach::kFifteenDay)
-                   .events(start, end);
-    } else {
-      std::fprintf(stderr, "error: unknown schedule '%s'\n", schedule.c_str());
-      usage(argv[0]);
-    }
-  }
   try {
     if (!replay_path.empty()) {
       feed = live::ReplayFeedSource::from_file(replay_path, speed);
@@ -315,133 +231,117 @@ int main(int argc, char** argv) {
   }
   for (const beacon::BeaconEvent& event : events) service.expect(event);
 
-  // The time-series store: samples the registries plus three service
-  // probes each cadence, and watches the default alert rules. Declared
-  // after `service` (probes reference it) and stopped before it.
-  obs::TsdbConfig tsdb_config;
-  tsdb_config.cadence_ms = tsdb_cadence_ms > 0 ? tsdb_cadence_ms : 1000;
-  obs::Tsdb tsdb(tsdb_config);
-  const bool tsdb_on = tsdb_cadence_ms > 0;
-  if (tsdb_on) {
-    tsdb.add_probe("live.snapshot_age_seconds", obs::SeriesKind::kGauge,
-                   [&service] {
-                     const double age = service.newest_publish_age_seconds();
-                     return age < 0.0 ? 0.0 : age;
-                   });
-    tsdb.add_probe("live.queue_depth", obs::SeriesKind::kGauge, [&service] {
-      std::size_t depth = 0;
-      for (const live::ShardStats& s : service.stats()) depth += s.queue_depth;
-      return static_cast<double>(depth);
+  // The session's time-series store samples the registries plus the
+  // service probes every second and watches the default alert rules.
+  // The probes reference `service`, so the session stops before it.
+  obs::Tsdb& tsdb = session.tsdb();
+  tsdb.add_probe("live.snapshot_age_seconds", obs::SeriesKind::kGauge,
+                 [&service] {
+                   const double age = service.newest_publish_age_seconds();
+                   return age < 0.0 ? 0.0 : age;
+                 });
+  tsdb.add_probe("live.queue_depth", obs::SeriesKind::kGauge, [&service] {
+    std::size_t depth = 0;
+    for (const live::ShardStats& s : service.stats()) depth += s.queue_depth;
+    return static_cast<double>(depth);
+  });
+  tsdb.add_probe("live.active_zombies", obs::SeriesKind::kGauge, [&service] {
+    std::size_t active = 0;
+    for (const live::ShardStats& s : service.stats()) {
+      active += s.active_zombies;
+    }
+    return static_cast<double>(active);
+  });
+
+  // Ingest drops: any sustained drop rate is a capacity problem.
+  obs::AlertRule drops;
+  drops.name = "queue_drops";
+  drops.metric = "live.ingest_dropped_total";
+  drops.mode = obs::AlertRule::Mode::kRate;
+  drops.threshold = 0.0;
+  drops.for_seconds = 30.0;
+  drops.clear_for_seconds = 15.0;
+  tsdb.add_rule(drops);
+
+  // Delivery-latency regression: e2e p99 above 2x its own trailing
+  // 5-minute baseline for a minute (hysteresis clears at 1.5x).
+  obs::AlertRule p99;
+  p99.name = "e2e_p99_regression";
+  p99.metric = "latency:live.e2e:p99";
+  p99.mode = obs::AlertRule::Mode::kBaselineRatio;
+  p99.threshold = 2.0;
+  p99.clear_threshold = 1.5;
+  p99.for_seconds = 60.0;
+  p99.clear_for_seconds = 30.0;
+  p99.baseline_window_seconds = 300.0;
+  p99.baseline_min_samples = 60;
+  tsdb.add_rule(p99);
+
+  // Stale snapshot: every worker wedged (or the service stopped)
+  // shows up as a growing publish age well before operators notice.
+  obs::AlertRule stale;
+  stale.name = "stale_snapshot";
+  stale.metric = "live.snapshot_age_seconds";
+  stale.threshold = stale_after > 0.0 ? stale_after : 5.0;
+  stale.clear_threshold = stale.threshold / 2.0;
+  stale.for_seconds = 10.0;
+  stale.clear_for_seconds = 5.0;
+  tsdb.add_rule(stale);
+
+  // Peer feed quality (zspeerq). The probe polls the merged peer
+  // table each cadence, which also refreshes the zs_peer_* gauges
+  // the registry sweep stores as peer.* — so noisy/silent counts and
+  // the top-K offender slots get 1 s series without any extra work.
+  tsdb.add_probe("peer.feeding_count_probe", obs::SeriesKind::kGauge,
+                 [&service] {
+                   const auto table = service.peers();
+                   return static_cast<double>(table->feeding_count);
+                 });
+
+  // Every peer went quiet (kBelow: the feed floor dropped under 1
+  // feeding peer) while the daemon keeps running — the exact failure
+  // mode behind the paper's looking-glass disagreements. for=30 s
+  // tolerates startup: the first updates arrive well inside that.
+  obs::AlertRule silent_peers;
+  silent_peers.name = "peers_silent";
+  silent_peers.metric = "peer.feeding_count_probe";
+  silent_peers.op = obs::AlertRule::Op::kBelow;
+  silent_peers.threshold = 1.0;
+  silent_peers.for_seconds = 30.0;
+  silent_peers.clear_for_seconds = 5.0;
+  tsdb.add_rule(silent_peers);
+
+  // A noisy-peer population spike: statistically-excluded peers
+  // sustained above zero means zombie counts upstream of the filter
+  // are inflated and the feed needs operator attention.
+  obs::AlertRule noisy_spike;
+  noisy_spike.name = "noisy_count_spike";
+  noisy_spike.metric = "peer.noisy_count";
+  noisy_spike.threshold = 0.0;
+  noisy_spike.for_seconds = 30.0;
+  noisy_spike.clear_for_seconds = 15.0;
+  tsdb.add_rule(noisy_spike);
+
+
+  if (session.serving_http()) {
+    service.attach_http(session.http(), stale_after, [&tsdb]() -> std::string {
+      const std::string firing = tsdb.firing_names();
+      return firing.empty() ? std::string() : "alerts firing: " + firing;
     });
-    tsdb.add_probe("live.active_zombies", obs::SeriesKind::kGauge, [&service] {
-      std::size_t active = 0;
-      for (const live::ShardStats& s : service.stats()) {
-        active += s.active_zombies;
-      }
-      return static_cast<double>(active);
-    });
-
-    // Ingest drops: any sustained drop rate is a capacity problem.
-    obs::AlertRule drops;
-    drops.name = "queue_drops";
-    drops.metric = "live.ingest_dropped_total";
-    drops.mode = obs::AlertRule::Mode::kRate;
-    drops.threshold = 0.0;
-    drops.for_seconds = 30.0;
-    drops.clear_for_seconds = 15.0;
-    tsdb.add_rule(drops);
-
-    // Delivery-latency regression: e2e p99 above 2x its own trailing
-    // 5-minute baseline for a minute (hysteresis clears at 1.5x).
-    obs::AlertRule p99;
-    p99.name = "e2e_p99_regression";
-    p99.metric = "latency:live.e2e:p99";
-    p99.mode = obs::AlertRule::Mode::kBaselineRatio;
-    p99.threshold = 2.0;
-    p99.clear_threshold = 1.5;
-    p99.for_seconds = 60.0;
-    p99.clear_for_seconds = 30.0;
-    p99.baseline_window_seconds = 300.0;
-    p99.baseline_min_samples = 60;
-    tsdb.add_rule(p99);
-
-    // Stale snapshot: every worker wedged (or the service stopped)
-    // shows up as a growing publish age well before operators notice.
-    obs::AlertRule stale;
-    stale.name = "stale_snapshot";
-    stale.metric = "live.snapshot_age_seconds";
-    stale.threshold = stale_after > 0.0 ? stale_after : 5.0;
-    stale.clear_threshold = stale.threshold / 2.0;
-    stale.for_seconds = 10.0;
-    stale.clear_for_seconds = 5.0;
-    tsdb.add_rule(stale);
-
-    // Peer feed quality (zspeerq). The probe polls the merged peer
-    // table each cadence, which also refreshes the zs_peer_* gauges
-    // the registry sweep stores as peer.* — so noisy/silent counts and
-    // the top-K offender slots get 1 s series without any extra work.
-    tsdb.add_probe("peer.feeding_count_probe", obs::SeriesKind::kGauge,
-                   [&service] {
-                     const auto table = service.peers();
-                     return static_cast<double>(table->feeding_count);
-                   });
-
-    // Every peer went quiet (kBelow: the feed floor dropped under 1
-    // feeding peer) while the daemon keeps running — the exact failure
-    // mode behind the paper's looking-glass disagreements. for=30 s
-    // tolerates startup: the first updates arrive well inside that.
-    obs::AlertRule silent_peers;
-    silent_peers.name = "peers_silent";
-    silent_peers.metric = "peer.feeding_count_probe";
-    silent_peers.op = obs::AlertRule::Op::kBelow;
-    silent_peers.threshold = 1.0;
-    silent_peers.for_seconds = 30.0;
-    silent_peers.clear_for_seconds = 5.0;
-    tsdb.add_rule(silent_peers);
-
-    // A noisy-peer population spike: statistically-excluded peers
-    // sustained above zero means zombie counts upstream of the filter
-    // are inflated and the feed needs operator attention.
-    obs::AlertRule noisy_spike;
-    noisy_spike.name = "noisy_count_spike";
-    noisy_spike.metric = "peer.noisy_count";
-    noisy_spike.threshold = 0.0;
-    noisy_spike.for_seconds = 30.0;
-    noisy_spike.clear_for_seconds = 15.0;
-    tsdb.add_rule(noisy_spike);
+    if (bgp_feed != nullptr) bgp_feed->attach_http(session.http());
   }
-
-  obs::HttpServer http;
+  if (!session.serve("/live/zombies")) return 1;
   std::unique_ptr<live::LoopbackLatencyClient> e2e_client;
-  if (http_port >= 0) {
-    std::function<std::string()> alerts_degraded;
-    if (tsdb_on) {
-      alerts_degraded = [&tsdb]() -> std::string {
-        const std::string firing = tsdb.firing_names();
-        return firing.empty() ? std::string() : "alerts firing: " + firing;
-      };
-      tsdb.attach_http(http);
-    }
-    service.attach_http(http, stale_after, std::move(alerts_degraded));
-    if (bgp_feed != nullptr) bgp_feed->attach_http(http);
-    if (!http.start(static_cast<std::uint16_t>(http_port))) {
-      std::fprintf(stderr, "error: cannot bind HTTP port %d\n", http_port);
-      return 1;
-    }
-    std::fprintf(stderr, "serving http://127.0.0.1:%u/live/zombies\n", http.port());
-    if (loopback) {
-      // Subscribe to our own /live/events so GET /latency (and the
-      // "stages" block of /live/stats) reports true end-to-end
-      // delivery latency, not just the internal stage times.
-      e2e_client = std::make_unique<live::LoopbackLatencyClient>(http.port());
-      if (!e2e_client->start()) {
-        std::fprintf(stderr, "warning: loopback latency subscriber failed to connect\n");
-        e2e_client.reset();
-      }
+  if (session.serving_http()) {
+    // Subscribe to our own /live/events so GET /latency (and the
+    // "stages" block of /live/stats) reports true end-to-end
+    // delivery latency, not just the internal stage times.
+    e2e_client = std::make_unique<live::LoopbackLatencyClient>(session.http().port());
+    if (!e2e_client->start()) {
+      std::fprintf(stderr, "warning: loopback latency subscriber failed to connect\n");
+      e2e_client.reset();
     }
   }
-
-  if (tsdb_on) tsdb.start();
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
@@ -461,7 +361,7 @@ int main(int argc, char** argv) {
   bool stop_requested = false;
   while (!feed_done.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    if (!journal_out.empty()) journal.pump();
+    obs::Journal::global().pump();
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
             .count();
@@ -487,26 +387,13 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(service.epoch()));
   if (print_zombies) std::printf("%s\n", service.zombies_json().c_str());
 
-  try {
-    if (!metrics_out.empty()) obs::write_metrics_file(metrics_out, metrics_format);
-    if (!trace_out.empty()) obs::write_trace_file(trace_out);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-  if (!journal_out.empty()) {
-    journal.close_writer();
-    std::fprintf(stderr, "journal: %llu event(s) written to %s (%llu dropped)\n",
-                 static_cast<unsigned long long>(journal.emitted()), journal_out.c_str(),
-                 static_cast<unsigned long long>(journal.dropped()));
-  }
+  const bool written = session.finish();
   if (e2e_client) {
     std::fprintf(stderr, "loopback e2e: %llu delivery sample(s)\n",
                  static_cast<unsigned long long>(e2e_client->samples()));
     e2e_client->stop();
   }
-  http.stop();
-  tsdb.stop();
+  session.stop();
   service.stop();
-  return 0;
+  return written ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 // zsreport — forensic reports from a zombie flight-recorder journal.
 //
-// Reads a journal written by zsdetect/zssim (--journal-out, NDJSON or
-// binary — auto-detected) and reconstructs what the run decided:
+// Reads the NDJSON journal zsdetect, zssim or zslived wrote
+// (--journal-out) and reconstructs what the run decided:
 //
 //   * a run summary (event counts per type, covered time range);
 //   * the zombie set: every (prefix, peer) the detector declared, with

@@ -2,41 +2,28 @@
 // zsdetect CLI (and any MRT consumer) has realistic data to chew on.
 //
 //   zssim ris2018|ris2017oct|ris2017mar|longlived2024 [output-prefix]
-//         [--metrics-out FILE] [--trace-out FILE] [--metrics-format prom|json]
-//         [--journal-out FILE] [--journal-format ndjson|bin]
-//         [--journal-categories LIST] [--http-port N] [--profile-out FILE]
-//         [--heap-out FILE] [--causal-sample-rate R]
+//         [--causal-sample-rate R] [telemetry options]
 //
 // Writes <prefix>.updates.mrt (and <prefix>.ribs.mrt for
 // longlived2024). Defaults the prefix to the scenario name.
-// --metrics-out snapshots the telemetry registry after the run;
-// --trace-out dumps the per-stage span tree; --journal-out records the
-// fault-injection / collector event journal (read it with zsreport;
-// the `propagation` category feeds zsroot); --http-port serves
-// /metrics, /healthz, /spans, /journal/tail, /causal, /profile and
-// /heap live during the simulation; --profile-out samples the whole
-// run with zsprof and writes folded stacks (flamegraph-ready) there;
-// --heap-out profiles allocations with zsheap and writes the
-// zsheap-v1 JSON report (per-span bytes, top sites) there;
 // --causal-sample-rate sets the probability that each *announcement*
 // wave is causally traced (withdrawals are always traced; default
-// 0.01) (see DESIGN.md, "Observability").
+// 0.01). The telemetry options are the ones every long-running tool
+// shares (obs/session.hpp): --metrics-out, --trace-out, --journal-out
+// (the fault-injection / collector event journal; its `propagation`
+// category feeds zsroot), --journal-categories, --http-port,
+// --profile-out, --heap-out and --version (see DESIGN.md,
+// "Observability").
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "mrt/codec.hpp"
-#include "obs/build_info.hpp"
 #include "obs/causal.hpp"
-#include "obs/export.hpp"
-#include "obs/heap.hpp"
-#include "obs/http.hpp"
-#include "obs/journal.hpp"
-#include "obs/prof.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
-#include "obs/tsdb.hpp"
 #include "scenarios/longlived2024.hpp"
 #include "scenarios/ris_replication.hpp"
 
@@ -47,14 +34,8 @@ namespace {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s ris2018|ris2017oct|ris2017mar|longlived2024 [output-prefix]\n"
-               "          [--metrics-out FILE] [--trace-out FILE]\n"
-               "          [--metrics-format prom|json] [--journal-out FILE]\n"
-               "          [--journal-format ndjson|bin] [--journal-categories LIST]\n"
-               "          [--http-port N] [--tsdb-cadence-ms N (0 disables)]\n"
-               "          [--profile-out FILE] [--heap-out FILE]\n"
-               "          [--causal-sample-rate R]\n"
-               "          [--version]\n",
-               argv0);
+               "          [--causal-sample-rate R]\n%s",
+               argv0, obs::Session::kUsage);
   std::exit(2);
 }
 
@@ -102,101 +83,18 @@ int run_scenario(const std::string& which, const std::string& prefix) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--version") {
-      std::puts(obs::identity_line("zssim").c_str());
-      return 0;
-    }
-  }
+  obs::Session session("zssim", obs::Session::Kind::kBatch);
   std::vector<std::string> positional;
-  std::string metrics_out;
-  std::string trace_out;
-  obs::Format metrics_format = obs::Format::kJson;
-  std::string journal_out;
-  obs::JournalFormat journal_format = obs::JournalFormat::kNdjson;
-  std::uint32_t journal_categories = obs::kCatAll;
-  int http_port = -1;  // -1 = no HTTP server
-  long tsdb_cadence_ms = 1000;  // 0 disables the /tsdb store
-  std::string profile_out;
-  std::string heap_out;
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage(argv[0]);
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--metrics-out") metrics_out = need_value(i);
-    else if (arg == "--trace-out") trace_out = need_value(i);
-    else if (arg == "--metrics-format") {
-      const auto parsed = obs::parse_format(need_value(i));
-      if (!parsed.has_value()) usage(argv[0]);
-      metrics_format = *parsed;
-    } else if (arg == "--journal-out") journal_out = need_value(i);
-    else if (arg == "--journal-format") {
-      const auto parsed = obs::parse_journal_format(need_value(i));
-      if (!parsed.has_value()) usage(argv[0]);
-      journal_format = *parsed;
-    } else if (arg == "--journal-categories") {
-      const auto parsed = obs::parse_categories(need_value(i));
-      if (!parsed.has_value()) usage(argv[0]);
-      journal_categories = *parsed;
-    } else if (arg == "--http-port") {
-      http_port = std::stoi(need_value(i));
-    } else if (arg == "--tsdb-cadence-ms") {
-      tsdb_cadence_ms = std::stol(need_value(i));
-    } else if (arg == "--profile-out") {
-      profile_out = need_value(i);
-    } else if (arg == "--heap-out") {
-      heap_out = need_value(i);
-    } else if (arg == "--causal-sample-rate") {
-      try {
-        obs::causal_set_announce_sample_rate(std::stod(need_value(i)));
-      } catch (const std::exception&) {
-        usage(argv[0]);
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      usage(argv[0]);
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  if (positional.empty() || positional.size() > 2) usage(argv[0]);
+  const bool parsed = session.parse(argc, argv, [&](const std::string& arg, const auto& value) {
+    if (arg == "--causal-sample-rate") obs::causal_set_announce_sample_rate(std::stod(value()));
+    else if (!arg.empty() && arg[0] == '-') return false;
+    else positional.push_back(arg);
+    return true;
+  });
+  if (!parsed || positional.empty() || positional.size() > 2) usage(argv[0]);
   const std::string which = positional[0];
   const std::string prefix = positional.size() > 1 ? positional[1] : which;
-
-  // Covers the whole run (simulation + MRT writes); the folded stacks
-  // land in the file when main returns.
-  obs::ScopedProfileSession profile(profile_out);
-  obs::ScopedHeapSession heap(heap_out);
-
-  obs::Journal& journal = obs::Journal::global();
-  if (!journal_out.empty()) {
-    try {
-      journal.attach_writer(
-          std::make_unique<obs::JournalWriter>(journal_out, journal_format));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-    journal.set_enabled_categories(journal_categories);
-    journal.set_autopump(true);
-  }
-  // Retained metrics history for the duration of the run; only worth
-  // sampling when the HTTP port (the only way to query it) is up.
-  obs::TsdbConfig tsdb_config;
-  tsdb_config.cadence_ms = tsdb_cadence_ms > 0 ? tsdb_cadence_ms : 1000;
-  obs::Tsdb tsdb(tsdb_config);
-  obs::HttpServer http;
-  if (http_port >= 0) {
-    const bool tsdb_on = tsdb_cadence_ms > 0;
-    if (tsdb_on) tsdb.attach_http(http);
-    if (!http.start(static_cast<std::uint16_t>(http_port))) {
-      std::fprintf(stderr, "error: cannot bind HTTP port %d\n", http_port);
-      return 1;
-    }
-    if (tsdb_on) tsdb.start();
-    std::fprintf(stderr, "serving http://127.0.0.1:%u/metrics\n", http.port());
-  }
+  if (!session.start() || !session.serve("/metrics")) return 1;
 
   int rc = 0;
   {
@@ -204,21 +102,5 @@ int main(int argc, char** argv) {
     obs::ScopedSpan root("zssim.run");
     rc = run_scenario(which, prefix);
   }
-
-  try {
-    if (!metrics_out.empty()) obs::write_metrics_file(metrics_out, metrics_format);
-    if (!trace_out.empty()) obs::write_trace_file(trace_out);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-  if (!journal_out.empty()) {
-    journal.close_writer();
-    std::fprintf(stderr, "journal: %llu event(s) written to %s (%llu dropped)\n",
-                 static_cast<unsigned long long>(journal.emitted()), journal_out.c_str(),
-                 static_cast<unsigned long long>(journal.dropped()));
-  }
-  http.stop();
-  tsdb.stop();
-  return rc;
+  return session.finish() ? rc : 1;
 }

@@ -16,8 +16,9 @@
 //                serves the zspeerq table)
 //   alerts       every rule with state / value / threshold, firing first
 //
-// Capability detection goes through GET / (the endpoint index): when
-// the server was started with --tsdb-cadence-ms 0 there is no
+// Capability detection goes through GET / (the endpoint index): a
+// server that does not serve /tsdb (zsdetect and zssim serve it only
+// while their HTTP port is up; other servers never do) has no
 // /tsdb/query to poll, and zstop says so instead of rendering empty
 // panels. Individual series that do not exist (yet) render as "n/a" —
 // a daemon that has not published its first snapshot is not an error.
@@ -240,8 +241,8 @@ bool render_frame(const Client& client, const Style& style, std::string& out) {
          " — " + now_text + "\n\n";
 
   if (!has_tsdb) {
-    out += "no /tsdb endpoints on this server — started with\n"
-           "--tsdb-cadence-ms 0. Nothing to render.\n";
+    out += "no /tsdb endpoints on this server — it does not serve\n"
+           "the time-series store. Nothing to render.\n";
     return true;
   }
 
