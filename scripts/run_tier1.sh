@@ -9,11 +9,14 @@
 # journal codec, the HTTP server, and the NDJSON feed parse external
 # bytes; the zsprof stack walk reads raw stack memory). The ASan+UBSan
 # leg also runs the MRT codec and its fuzz suites (truncated and
-# bit-flipped archives) and the batch long-lived detector, whose fold
-# keeps raw pointers into the caller's records; these are
-# single-threaded, so the TSan leg skips them. Both legs run the JSON
-# reader's suite (RIS-Live NDJSON is network input), and the UBSan leg
-# adds -fsanitize=float-cast-overflow (see CMakeLists.txt). Both legs
+# bit-flipped archives), the batch long-lived detector, whose fold
+# keeps raw pointers into the caller's records, and the codec suites
+# under them: the byte reader's inline bounds checks, prefixes, and the
+# AS path's shared, reference-counted block through the UPDATE codec
+# and its round trips. These are single-threaded, so the TSan leg skips
+# them. Both legs run the JSON reader's suite (RIS-Live NDJSON is
+# network input), and the UBSan leg adds
+# -fsanitize=float-cast-overflow (see CMakeLists.txt). Both legs
 # run the socket reactor's suite and the WireE2E socket tests (the BGP
 # speaker and bridge over real loopback sessions); WireE2EReplay is
 # excluded there because its longlived2024 set-up alone takes minutes
@@ -66,7 +69,7 @@ OBS_TARGETS="json_test reactor_test obs_test journal_test session_test http_test
   causal_test causal_e2e_test live_test realtime_test \
   wire_test wire_e2e_test wirefault_test zswire zslived zstop zsreport"
 # Single-threaded suites for the ASan+UBSan leg only.
-ASAN_ONLY_TARGETS="mrt_test zombie_test fuzz_codec_test"
+ASAN_ONLY_TARGETS="netbase_test bgp_test mrt_test zombie_test fuzz_codec_test"
 
 # A 30-second zslived soak under the instrumented build: the tap demo
 # feeds a live simulation through the sharded service while curl
@@ -318,13 +321,14 @@ ctest --test-dir "${TSAN_DIR}" --output-on-failure -R '^Obs|^Json|^Reactor|^Wire
 soak_zslived "${TSAN_DIR}" "tsan"
 soak_bgp "${TSAN_DIR}" "tsan"
 
-echo "== tier-1: obs, MRT codec and batch detector tests under ASan+UBSan (${ASAN_DIR})"
+echo "== tier-1: obs, BGP/MRT codec and batch detector tests under ASan+UBSan (${ASAN_DIR})"
 cmake -B "${ASAN_DIR}" -S . -DZS_SANITIZE=address,undefined
 # shellcheck disable=SC2086
 cmake --build "${ASAN_DIR}" -j --target ${OBS_TARGETS} ${ASAN_ONLY_TARGETS}
-# Parameterized suites are named Seeds/CodecFuzz.*, so CodecFuzz is unanchored.
+# Parameterized suites are named Seeds/CodecFuzz.*, so CodecFuzz and
+# UpdateRoundTrip are unanchored.
 ctest --test-dir "${ASAN_DIR}" --output-on-failure \
-  -R '^Obs|^Json|^Reactor|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.' \
+  -R '^Obs|^Json|^Reactor|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.|^AsPath|^UpdateCodec|UpdateRoundTrip|^Bytes\.|^Prefix' \
   -E '^WireE2EReplay'
 soak_zslived "${ASAN_DIR}" "asan"
 soak_bgp "${ASAN_DIR}" "asan"

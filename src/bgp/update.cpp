@@ -67,34 +67,8 @@ void write_attribute(ByteWriter& w, std::uint8_t flags, AttrType type,
   w.bytes(payload);
 }
 
-std::vector<std::uint8_t> encode_as_path(const AsPath& path) {
-  ByteWriter w;
-  for (const auto& seg : path.segments()) {
-    w.u8(static_cast<std::uint8_t>(seg.type));
-    w.u8(static_cast<std::uint8_t>(seg.asns.size()));
-    for (Asn asn : seg.asns) w.u32(asn);  // 4-byte ASNs (RFC 6793)
-  }
-  return w.take();
-}
-
-AsPath decode_as_path(ByteReader r) {
-  AsPath path;
-  while (!r.done()) {
-    PathSegment seg;
-    const std::uint8_t type = r.u8();
-    if (type != 1 && type != 2) throw DecodeError("AS_PATH: bad segment type");
-    seg.type = static_cast<SegmentType>(type);
-    const std::uint8_t count = r.u8();
-    seg.asns.reserve(count);
-    for (int i = 0; i < count; ++i) seg.asns.push_back(r.u32());
-    path.segments().push_back(std::move(seg));
-  }
-  return path;
-}
-
 }  // namespace wire
 
-using wire::decode_as_path;
 using wire::encode_as_path;
 using wire::write_attribute;
 
@@ -107,8 +81,7 @@ void encode_nlri(ByteWriter& w, std::span<const Prefix> prefixes) {
   }
 }
 
-std::vector<Prefix> decode_nlri(ByteReader& r, AddressFamily family) {
-  std::vector<Prefix> out;
+void decode_nlri(ByteReader& r, AddressFamily family, std::vector<Prefix>& out) {
   while (!r.done()) {
     const int length = r.u8();
     const int max_len = family == AddressFamily::kIpv4 ? 32 : 128;
@@ -122,7 +95,6 @@ std::vector<Prefix> decode_nlri(ByteReader& r, AddressFamily family) {
                          : IpAddress::v6(bytes);
     out.emplace_back(addr, length);
   }
-  return out;
 }
 
 std::vector<std::uint8_t> UpdateMessage::encode() const {
@@ -226,7 +198,8 @@ std::vector<std::uint8_t> UpdateMessage::encode() const {
   return msg.take();
 }
 
-UpdateMessage UpdateMessage::decode(std::span<const std::uint8_t> wire) {
+UpdateMessage UpdateMessage::decode(std::span<const std::uint8_t> wire,
+                                    AsPathInterner* paths) {
   ByteReader r(wire);
   for (int i = 0; i < 16; ++i) {
     if (r.u8() != 0xff) throw DecodeError("BGP header: bad marker");
@@ -241,8 +214,7 @@ UpdateMessage UpdateMessage::decode(std::span<const std::uint8_t> wire) {
   const std::uint16_t withdrawn_len = r.u16();
   {
     ByteReader wr = r.sub(withdrawn_len);
-    auto v4 = decode_nlri(wr, AddressFamily::kIpv4);
-    msg.withdrawn.insert(msg.withdrawn.end(), v4.begin(), v4.end());
+    decode_nlri(wr, AddressFamily::kIpv4, msg.withdrawn);
   }
 
   const std::uint16_t attrs_len = r.u16();
@@ -259,10 +231,12 @@ UpdateMessage UpdateMessage::decode(std::span<const std::uint8_t> wire) {
         msg.attributes.origin = static_cast<Origin>(v);
         break;
       }
-      case AttrType::kAsPath:
-        msg.attributes.as_path = decode_as_path(pr);
-        pr = ByteReader({});
+      case AttrType::kAsPath: {
+        const auto payload = pr.bytes(pr.remaining());
+        msg.attributes.as_path =
+            paths != nullptr ? paths->decode(payload) : wire::decode_as_path(payload);
         break;
+      }
       case AttrType::kNextHop: {
         auto raw = pr.bytes(4);
         msg.attributes.next_hop = IpAddress::v4({raw[0], raw[1], raw[2], raw[3]});
@@ -302,8 +276,7 @@ UpdateMessage UpdateMessage::decode(std::span<const std::uint8_t> wire) {
         std::copy(nh_raw.begin(), nh_raw.begin() + 16, nh.begin());
         msg.attributes.next_hop = IpAddress::v6(nh);
         pr.u8();  // reserved
-        auto v6 = decode_nlri(pr, AddressFamily::kIpv6);
-        msg.announced.insert(msg.announced.end(), v6.begin(), v6.end());
+        decode_nlri(pr, AddressFamily::kIpv6, msg.announced);
         break;
       }
       case AttrType::kMpUnreachNlri: {
@@ -311,8 +284,7 @@ UpdateMessage UpdateMessage::decode(std::span<const std::uint8_t> wire) {
         const std::uint8_t safi = pr.u8();
         if (afi != kAfiIpv6 || safi != kSafiUnicast)
           throw DecodeError("MP_UNREACH_NLRI: unsupported AFI/SAFI");
-        auto v6 = decode_nlri(pr, AddressFamily::kIpv6);
-        msg.withdrawn.insert(msg.withdrawn.end(), v6.begin(), v6.end());
+        decode_nlri(pr, AddressFamily::kIpv6, msg.withdrawn);
         break;
       }
       default: {
@@ -325,12 +297,10 @@ UpdateMessage UpdateMessage::decode(std::span<const std::uint8_t> wire) {
         break;
       }
     }
-    if (static_cast<AttrType>(type_code) != AttrType::kAsPath)
-      pr.expect_done("path attribute");
+    pr.expect_done("path attribute");
   }
 
-  auto v4 = decode_nlri(r, AddressFamily::kIpv4);
-  msg.announced.insert(msg.announced.end(), v4.begin(), v4.end());
+  decode_nlri(r, AddressFamily::kIpv4, msg.announced);
   return msg;
 }
 

@@ -43,8 +43,11 @@ struct UpdateMessage {
   std::vector<std::uint8_t> encode() const;
 
   /// Parses a full BGP message. Throws netbase::DecodeError on
-  /// malformed input. Non-UPDATE messages are rejected.
-  static UpdateMessage decode(std::span<const std::uint8_t> wire);
+  /// malformed input. Non-UPDATE messages are rejected. With `paths`,
+  /// the AS_PATH is shared with earlier messages that carried the same
+  /// bytes; without, it gets a block of its own.
+  static UpdateMessage decode(std::span<const std::uint8_t> wire,
+                              AsPathInterner* paths = nullptr);
 
   /// Human-readable one-line summary for debugging / example output.
   std::string summary() const;
@@ -55,20 +58,19 @@ struct UpdateMessage {
 /// Encodes NLRI prefixes (length byte + packed address bits) into `w`.
 void encode_nlri(netbase::ByteWriter& w, std::span<const netbase::Prefix> prefixes);
 
-/// Decodes NLRI until the reader is exhausted.
-std::vector<netbase::Prefix> decode_nlri(netbase::ByteReader& r, netbase::AddressFamily family);
+/// Decodes NLRI until the reader is exhausted, appending to `out`.
+void decode_nlri(netbase::ByteReader& r, netbase::AddressFamily family,
+                 std::vector<netbase::Prefix>& out);
 
 /// Attribute-level codec shared with the MRT TABLE_DUMP_V2 encoder,
-/// which serializes per-route attribute blobs outside full UPDATEs.
+/// which serializes per-route attribute blobs outside full UPDATEs
+/// (the AS_PATH payload codec is in bgp/aspath.hpp).
 namespace wire {
 
 /// Writes one path attribute (flags/type/length/payload), setting the
 /// extended-length flag automatically.
 void write_attribute(netbase::ByteWriter& w, std::uint8_t flags, AttrType type,
                      std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> encode_as_path(const AsPath& path);
-AsPath decode_as_path(netbase::ByteReader r);
 
 }  // namespace wire
 

@@ -154,6 +154,11 @@ std::vector<std::uint8_t> encode_rib_attributes(const bgp::PathAttributes& attrs
     w.u8(4);
     w.u32(*attrs.local_pref);
   }
+  if (attrs.atomic_aggregate) {
+    w.u8(bgp::kAttrFlagTransitive);
+    w.u8(static_cast<std::uint8_t>(bgp::AttrType::kAtomicAggregate));
+    w.u8(0);
+  }
   if (attrs.aggregator) {
     w.u8(bgp::kAttrFlagOptional | bgp::kAttrFlagTransitive);
     w.u8(static_cast<std::uint8_t>(bgp::AttrType::kAggregator));
@@ -167,10 +172,14 @@ std::vector<std::uint8_t> encode_rib_attributes(const bgp::PathAttributes& attrs
     bgp::wire::write_attribute(w, bgp::kAttrFlagOptional | bgp::kAttrFlagTransitive,
                                bgp::AttrType::kCommunities, cw.data());
   }
+  for (const auto& raw : attrs.unknown) {
+    bgp::wire::write_attribute(w, raw.flags, static_cast<bgp::AttrType>(raw.type),
+                               raw.payload);
+  }
   return w.take();
 }
 
-bgp::PathAttributes decode_rib_attributes(ByteReader r) {
+bgp::PathAttributes decode_rib_attributes(ByteReader r, bgp::AsPathInterner& paths) {
   bgp::PathAttributes attrs;
   while (!r.done()) {
     const std::uint8_t flags = r.u8();
@@ -178,12 +187,14 @@ bgp::PathAttributes decode_rib_attributes(ByteReader r) {
     const std::size_t len = (flags & bgp::kAttrFlagExtendedLength) ? r.u16() : r.u8();
     ByteReader pr = r.sub(len);
     switch (static_cast<bgp::AttrType>(type_code)) {
-      case bgp::AttrType::kOrigin:
-        attrs.origin = static_cast<bgp::Origin>(pr.u8());
+      case bgp::AttrType::kOrigin: {
+        const std::uint8_t v = pr.u8();
+        if (v > 2) throw DecodeError("RIB ORIGIN: bad value");
+        attrs.origin = static_cast<bgp::Origin>(v);
         break;
+      }
       case bgp::AttrType::kAsPath:
-        attrs.as_path = bgp::wire::decode_as_path(pr);
-        pr = ByteReader({});
+        attrs.as_path = paths.decode(pr.bytes(pr.remaining()));
         break;
       case bgp::AttrType::kNextHop: {
         auto raw = pr.bytes(4);
@@ -195,6 +206,9 @@ bgp::PathAttributes decode_rib_attributes(ByteReader r) {
         break;
       case bgp::AttrType::kLocalPref:
         attrs.local_pref = pr.u32();
+        break;
+      case bgp::AttrType::kAtomicAggregate:
+        attrs.atomic_aggregate = true;
         break;
       case bgp::AttrType::kAggregator: {
         bgp::Aggregator agg;
@@ -340,7 +354,7 @@ MrtRecord MrtReader::next() {
         m.local_asn = h.local_asn;
         m.peer_address = h.peer;
         m.local_address = h.local;
-        m.update = bgp::UpdateMessage::decode(body.bytes(body.remaining()));
+        m.update = bgp::UpdateMessage::decode(body.bytes(body.remaining()), &paths_);
         return m;
       }
       case Bgp4mpSubtype::kStateChangeAs4: {
@@ -409,7 +423,7 @@ MrtRecord MrtReader::next() {
           entry.peer_index = body.u16();
           entry.originated_time = static_cast<netbase::TimePoint>(body.u32());
           const std::uint16_t attr_len = body.u16();
-          entry.attributes = decode_rib_attributes(body.sub(attr_len));
+          entry.attributes = decode_rib_attributes(body.sub(attr_len), paths_);
           rib.entries.push_back(std::move(entry));
         }
         body.expect_done("RIB entry record");
@@ -431,8 +445,20 @@ MrtRecord MrtReader::next() {
 }
 
 std::vector<MrtRecord> decode_all(std::span<const std::uint8_t> data) {
-  MrtReader reader(data);
+  // Count the records from their 12-byte common headers (a truncated
+  // tail is left for the decode to reject), then reserve that many,
+  // capped at one per 64 input bytes. A real archive averages well
+  // over 64 bytes a record, so the cap binds only on hostile input,
+  // where the vector just grows as usual past it.
+  std::size_t records = 0;
+  for (std::size_t at = 0; data.size() - at >= 12; ++records) {
+    const std::uint32_t length = ByteReader(data.subspan(at + 8, 4)).u32();
+    if (data.size() - at - 12 < length) break;
+    at += 12 + length;
+  }
   std::vector<MrtRecord> out;
+  out.reserve(std::min(records, data.size() / 64));
+  MrtReader reader(data);
   while (reader.has_next()) out.push_back(reader.next());
   return out;
 }

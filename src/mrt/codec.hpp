@@ -29,6 +29,11 @@ class MrtWriter {
   netbase::ByteWriter out_;
 };
 
+/// Decodes records from a buffer the caller keeps alive while the
+/// reader lives. Records that carry the same AS_PATH bytes share one
+/// AsPath: the reader decodes each distinct path once and keeps it in
+/// a table that lives as long as the reader and grows at most with
+/// its input.
 class MrtReader {
  public:
   explicit MrtReader(std::span<const std::uint8_t> data) : reader_(data) {}
@@ -42,9 +47,13 @@ class MrtReader {
 
  private:
   netbase::ByteReader reader_;
+  bgp::AsPathInterner paths_;
 };
 
-/// Decodes an entire buffer into records.
+/// Decodes an entire buffer into records. The output is reserved up
+/// front from the records' headers, at most one record per 64 input
+/// bytes, so a stream of tiny headers cannot reserve many times its
+/// own size.
 std::vector<MrtRecord> decode_all(std::span<const std::uint8_t> data);
 
 /// Encodes all records into one buffer.

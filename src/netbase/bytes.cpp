@@ -41,44 +41,9 @@ void ByteWriter::patch_u32(std::size_t offset, std::uint32_t v) {
   buf_.at(offset + 3) = static_cast<std::uint8_t>(v);
 }
 
-void ByteReader::need(std::size_t n) const {
-  if (remaining() < n)
-    throw DecodeError("truncated message: need " + std::to_string(n) + " bytes, have " +
-                      std::to_string(remaining()));
-}
-
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint16_t ByteReader::u16() {
-  need(2);
-  std::uint16_t v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  need(4);
-  std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
-                    (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
-                    (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
-                    static_cast<std::uint32_t>(data_[pos_ + 3]);
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  const std::uint64_t hi = u32();
-  return (hi << 32) | u32();
-}
-
-std::span<const std::uint8_t> ByteReader::bytes(std::size_t n) {
-  need(n);
-  auto out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
+void ByteReader::throw_truncated(std::size_t n) const {
+  throw DecodeError("truncated message: need " + std::to_string(n) + " bytes, have " +
+                    std::to_string(remaining()));
 }
 
 void ByteReader::expect_done(std::string_view context) const {

@@ -49,17 +49,46 @@ class ByteWriter {
 };
 
 /// Reads big-endian integers and raw bytes from a non-owning span.
+/// The reads and their bounds check are inline; only the throw on
+/// truncation is out of line.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
+  std::uint8_t u8() {
+    need(1);
+    return data_[pos_++];
+  }
+
+  std::uint16_t u16() {
+    need(2);
+    const auto v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
+    pos_ += 2;
+    return v;
+  }
+
+  std::uint32_t u32() {
+    need(4);
+    const std::uint32_t v = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
+                            (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
+                            (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
+                            static_cast<std::uint32_t>(data_[pos_ + 3]);
+    pos_ += 4;
+    return v;
+  }
+
+  std::uint64_t u64() {
+    const std::uint64_t hi = u32();
+    return (hi << 32) | u32();
+  }
 
   /// Returns a subspan of `n` bytes and advances past it.
-  std::span<const std::uint8_t> bytes(std::size_t n);
+  std::span<const std::uint8_t> bytes(std::size_t n) {
+    need(n);
+    auto out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
 
   /// Returns a sub-reader restricted to the next `n` bytes and
   /// advances this reader past them.
@@ -73,7 +102,11 @@ class ByteReader {
   void expect_done(std::string_view context) const;
 
  private:
-  void need(std::size_t n) const;
+  void need(std::size_t n) const {
+    if (remaining() < n) [[unlikely]]
+      throw_truncated(n);
+  }
+  [[noreturn]] void throw_truncated(std::size_t n) const;
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

@@ -253,12 +253,15 @@ std::string IpAddress::to_string() const {
 Prefix::Prefix(const IpAddress& address, int length) : address_(address), length_(length) {
   if (length < 0 || length > address.bit_length())
     throw std::invalid_argument("prefix length out of range");
-  // Zero the host bits so equal prefixes compare equal.
+  // Zero the host bits so equal prefixes compare equal: the byte the
+  // length ends in keeps its top length % 8 bits, later bytes clear.
   auto bytes = address.bytes();
-  for (int bit = length; bit < address.bit_length(); ++bit) {
-    const auto byte = static_cast<std::size_t>(bit / 8);
-    bytes[byte] = static_cast<std::uint8_t>(bytes[byte] & ~(1u << (7 - bit % 8)));
+  auto host = bytes.begin() + length / 8;
+  if (length % 8 != 0) {
+    *host = static_cast<std::uint8_t>(*host & (0xff00u >> (length % 8)));
+    ++host;
   }
+  std::fill(host, bytes.end(), std::uint8_t{0});
   address_ = address.is_v4()
                  ? IpAddress::v4({bytes[0], bytes[1], bytes[2], bytes[3]})
                  : IpAddress::v6(bytes);

@@ -54,7 +54,6 @@ void StateTracker::apply(const mrt::MrtRecord& record) {
     for (const auto& prefix : msg->update.announced) {
       RouteStatus& status = table[prefix];
       status.present = true;
-      status.path = msg->update.attributes.as_path;
       status.attributes = msg->update.attributes;
       status.last_change = msg->timestamp;
       if (journal_on)
@@ -101,7 +100,6 @@ void StateTracker::apply(const mrt::MrtRecord& record) {
         const auto& dir = last_index_.peers[entry.peer_index];
         RouteStatus& status = state_[PeerKey{dir.asn, dir.address}][rib->prefix];
         status.present = true;
-        status.path = entry.attributes.as_path;
         status.attributes = entry.attributes;
         status.last_change = rib->timestamp;
       }

@@ -21,7 +21,6 @@ namespace zombiescope::zombie {
 /// The reconstructed status of one prefix at one peer.
 struct RouteStatus {
   bool present = false;
-  bgp::AsPath path;                      // meaningful when present
   bgp::PathAttributes attributes;        // meaningful when present
   netbase::TimePoint last_change = 0;    // time of the deciding message
 };

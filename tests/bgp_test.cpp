@@ -25,9 +25,10 @@ TEST(AsPath, SequenceBasics) {
 }
 
 TEST(AsPath, SetCountsOnceForLength) {
-  AsPath p;
-  p.segments().push_back({SegmentType::kAsSequence, {100, 200}});
-  p.segments().push_back({SegmentType::kAsSet, {300, 400, 500}});
+  const std::vector<Asn> sequence{100, 200};
+  const std::vector<Asn> set{300, 400, 500};
+  const AsPath p = AsPath::from_segments(
+      {{SegmentType::kAsSequence, sequence}, {SegmentType::kAsSet, set}});
   EXPECT_EQ(p.length(), 3);  // 2 + 1 for the set
   EXPECT_EQ(p.asn_count(), 5);
   EXPECT_EQ(p.to_string(), "100 200 {300,400,500}");
@@ -51,6 +52,21 @@ TEST(AsPath, EndsWithSuffix) {
   EXPECT_TRUE(p.ends_with({}));
   EXPECT_FALSE(p.ends_with({8298, 25091, 210312}));
   EXPECT_FALSE(p.ends_with({1, 2, 3, 4, 5, 6}));
+}
+
+TEST(AsPath, CopyMoveAndSelfAssignmentKeepTheValue) {
+  AsPath p{4637, 1299, 210312};
+  AsPath q = p;
+  const AsPath& same = q;
+  q = same;  // self-assignment keeps the path
+  EXPECT_EQ(q, p);
+  EXPECT_EQ(q.to_string(), "4637 1299 210312");
+  AsPath r = std::move(q);
+  q = AsPath{};
+  EXPECT_TRUE(q.empty());
+  p = AsPath{};  // r holds the last reference now
+  EXPECT_EQ(r.to_string(), "4637 1299 210312");
+  EXPECT_NE(r, p);
 }
 
 TEST(AsPath, FourByteAsnsSurvive) {
@@ -179,6 +195,47 @@ TEST(UpdateCodec, LargeCommunityListUsesExtendedLength) {
   UpdateMessage decoded = UpdateMessage::decode(msg.encode());
   EXPECT_EQ(decoded.attributes.communities.size(), 100u);
   EXPECT_EQ(decoded, msg);
+}
+
+std::vector<Asn> numbered_asns(std::size_t n) {
+  std::vector<Asn> asns;
+  for (std::size_t i = 0; i < n; ++i) asns.push_back(static_cast<Asn>(64512 + i));
+  return asns;
+}
+
+UpdateMessage announce_with_path(const AsPath& path) {
+  UpdateMessage msg;
+  msg.announced.push_back(Prefix::parse("10.0.0.0/8"));
+  msg.attributes.next_hop = IpAddress::parse("192.0.2.1");
+  msg.attributes.as_path = path;
+  return msg;
+}
+
+TEST(UpdateCodec, SequenceLongerThan255AsnsRoundTrips) {
+  // A segment's ASN count is one byte on the wire: 300 ASNs travel as
+  // a 255-ASN and a 45-ASN AS_SEQUENCE (RFC 4271 §5.1.2).
+  const auto asns = numbered_asns(300);
+  const AsPath path = AsPath::sequence(asns);
+  EXPECT_EQ(path.segments().size(), 2u);
+  EXPECT_EQ(path.length(), 300);
+  EXPECT_EQ(path.flatten(), asns);
+  const UpdateMessage msg = announce_with_path(path);
+  const UpdateMessage decoded = UpdateMessage::decode(msg.encode());
+  EXPECT_EQ(decoded, msg);
+  EXPECT_EQ(decoded.attributes.as_path.to_string(), path.to_string());
+}
+
+TEST(UpdateCodec, PrependOntoFullSequenceRoundTrips) {
+  // Prepending to a full 255-ASN sequence opens a new leading segment.
+  const AsPath path = AsPath::sequence(numbered_asns(255)).prepend(64000);
+  EXPECT_EQ(path.segments().size(), 2u);
+  EXPECT_EQ(path.length(), 256);
+  EXPECT_EQ(path.first_asn(), 64000u);
+  EXPECT_EQ(path.origin_asn(), static_cast<Asn>(64512 + 254));
+  const UpdateMessage msg = announce_with_path(path);
+  const UpdateMessage decoded = UpdateMessage::decode(msg.encode());
+  EXPECT_EQ(decoded, msg);
+  EXPECT_EQ(decoded.attributes.as_path.length(), 256);
 }
 
 // Property: encode/decode round trip over randomized updates.

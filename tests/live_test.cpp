@@ -204,6 +204,56 @@ TEST(ObsLiveShard, SubmitRoutesRecordsToOwningShard) {
   service.stop();
 }
 
+TEST(ObsLiveShard, MultiPrefixUpdateSplitsIntoOnePiecePerShard) {
+  // One UPDATE announcing prefixes that live on all four shards: submit
+  // cuts it into one piece per shard carrying only that shard's
+  // prefixes, and every piece shares the message's path, so four shard
+  // threads hold (and release) one path block.
+  LiveConfig config;
+  config.shards = 4;
+  config.block_on_full = true;
+  config.detector.threshold = 5 * kMinute;
+  LiveService service(config);
+  service.start();
+  const auto t0 = netbase::utc(2024, 6, 4, 12, 0, 0);
+  const auto w = t0 + 10 * kMinute;
+  std::vector<Prefix> prefixes;
+  std::vector<std::uint64_t> owned(4, 0);
+  for (int i = 0; i < 32; ++i) {
+    prefixes.push_back(Prefix::parse("10." + std::to_string(i) + ".0.0/16"));
+    ++owned[shard_for(prefixes.back(), 4)];
+    service.expect({prefixes.back(), t0, w, false});
+  }
+  for (std::size_t i = 0; i < 4; ++i) ASSERT_GT(owned[i], 0u) << "shard " << i;
+  mrt::MrtRecord record = announce(t0 + 10, peer_a(), prefixes.front());
+  bgp::UpdateMessage& update = std::get<mrt::Bgp4mpMessage>(record).update;
+  update.announced = prefixes;
+  const bgp::AsPath path = update.attributes.as_path;
+  ASSERT_TRUE(service.submit(record));  // never withdrawn
+  service.finalize(w + 6 * kMinute);
+
+  const auto stats = service.stats();
+  ASSERT_EQ(stats.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(stats[i].submitted, 1u) << "shard " << i;
+    EXPECT_EQ(stats[i].processed, 1u) << "shard " << i;
+    const auto snapshot = service.snapshot(i);
+    EXPECT_EQ(snapshot->emerged, owned[i]) << "shard " << i;
+    for (const auto& pair : *snapshot->emerged_pairs)
+      EXPECT_EQ(shard_for(pair.first, 4), i) << pair.first.to_string();
+  }
+  const auto zombies = service.zombies();
+  ASSERT_EQ(zombies.size(), prefixes.size());
+  std::set<Prefix> emerged;
+  for (const auto& zombie : zombies) {
+    EXPECT_EQ(zombie.alert.peer, peer_a());
+    EXPECT_EQ(zombie.alert.stuck_path, path) << zombie.alert.prefix.to_string();
+    emerged.insert(zombie.alert.prefix);
+  }
+  EXPECT_EQ(emerged, std::set<Prefix>(prefixes.begin(), prefixes.end()));
+  service.stop();
+}
+
 TEST(ObsLiveShard, EmergeThenDieViaWithdrawal) {
   LiveConfig config;
   config.shards = 2;

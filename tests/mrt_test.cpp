@@ -1,9 +1,10 @@
 // Tests for the MRT (RFC 6396) codec: record round trips, file I/O,
-// and structural error handling.
+// structural error handling, and the decoder's heap bounds.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <thread>
@@ -11,6 +12,7 @@
 #include "mrt/codec.hpp"
 #include "netbase/rng.hpp"
 #include "netbase/time.hpp"
+#include "obs/heap.hpp"
 
 namespace zombiescope::mrt {
 namespace {
@@ -110,6 +112,65 @@ TEST(MrtCodec, RibRecordRoundTripV4WithAggregator) {
   auto records = decode_all(w.data());
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(std::get<RibEntryRecord>(records[0]), rib);
+}
+
+RibEntryRecord make_v4_rib(const bgp::PathAttributes& attributes) {
+  RibEntryRecord rib;
+  rib.timestamp = utc(2024, 6, 29, 8, 0, 0);
+  rib.sequence = 9;
+  rib.prefix = Prefix::parse("93.175.149.0/24");
+  RibEntryRecord::Entry e;
+  e.peer_index = 2;
+  e.originated_time = utc(2024, 6, 29, 7, 0, 0);
+  e.attributes = attributes;
+  e.attributes.as_path = AsPath{3333, 12654};
+  e.attributes.next_hop = IpAddress::parse("193.0.4.28");
+  rib.entries.push_back(e);
+  return rib;
+}
+
+TEST(MrtCodec, RibRecordKeepsAtomicAggregate) {
+  bgp::PathAttributes attrs;
+  attrs.local_pref = 100;
+  attrs.atomic_aggregate = true;
+  attrs.aggregator = bgp::Aggregator{12654, IpAddress::parse("10.19.29.192")};
+  const RibEntryRecord rib = make_v4_rib(attrs);
+  MrtWriter w;
+  w.write(rib);
+  const auto records = decode_all(w.data());
+  ASSERT_EQ(records.size(), 1u);
+  const auto& decoded = std::get<RibEntryRecord>(records[0]);
+  EXPECT_TRUE(decoded.entries.at(0).attributes.atomic_aggregate);
+  EXPECT_TRUE(decoded.entries.at(0).attributes.unknown.empty());
+  EXPECT_EQ(decoded, rib);
+}
+
+TEST(MrtCodec, RibRecordKeepsUnknownAttributes) {
+  bgp::PathAttributes attrs;
+  bgp::RawAttribute large_community;  // LARGE_COMMUNITY (RFC 8092)
+  large_community.flags = bgp::kAttrFlagOptional | bgp::kAttrFlagTransitive;
+  large_community.type = 32;
+  large_community.payload = {0, 0, 0x31, 0x6e, 0, 0, 0, 1, 0, 0, 0, 2};
+  attrs.unknown.push_back(large_community);
+  const RibEntryRecord rib = make_v4_rib(attrs);
+  MrtWriter w;
+  w.write(rib);
+  const auto records = decode_all(w.data());
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(std::get<RibEntryRecord>(records[0]), rib);
+}
+
+TEST(MrtCodec, RibRecordRejectsOriginAboveTwo) {
+  MrtWriter w;
+  w.write(make_v4_rib({}));
+  auto bytes = w.take();
+  // The entry's ORIGIN attribute: transitive flag, type 1, length 1, IGP.
+  const std::vector<std::uint8_t> origin{bgp::kAttrFlagTransitive, 1, 1, 0};
+  auto it = std::search(bytes.begin(), bytes.end(), origin.begin(), origin.end());
+  ASSERT_NE(it, bytes.end());
+  EXPECT_NO_THROW(decode_all(bytes));
+  it[3] = 7;
+  EXPECT_THROW(decode_all(bytes), netbase::DecodeError);
 }
 
 TEST(MrtCodec, StreamOfMixedRecordsPreservesOrder) {
@@ -257,6 +318,83 @@ TEST_P(MrtRoundTrip, RandomizedUpdates) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MrtRoundTrip, ::testing::Values(5, 55, 555));
+
+// Heap bounds, counted by the interposed allocator in the plain build.
+// Sanitizer builds own malloc, so these skip there.
+bool heap_sessions_available() {
+  return obs::kHeapCompiledIn && obs::HeapProfiler::interposition_available();
+}
+
+// An update archive in which every announcement carries one of four
+// paths, as beacon archives do: 7 of 8 messages announce one prefix,
+// the 8th withdraws one.
+std::vector<std::uint8_t> shared_path_archive(std::size_t records) {
+  const std::vector<AsPath> paths{AsPath{211509, 25091, 8298, 210312},
+                                  AsPath{6939, 8298, 210312},
+                                  AsPath{3356, 1299, 25091, 8298, 210312},
+                                  AsPath{174, 8298, 210312}};
+  MrtWriter w;
+  for (std::size_t i = 0; i < records; ++i) {
+    Bgp4mpMessage m = make_message();
+    m.timestamp += static_cast<netbase::TimePoint>(i);
+    const Prefix p = Prefix::parse("2a0d:3dc1:" + std::to_string(i % 2000) + "::/48");
+    m.update.announced.clear();
+    if (i % 8 == 7) {
+      m.update.withdrawn.push_back(p);
+      m.update.attributes = {};
+    } else {
+      m.update.announced.push_back(p);
+      m.update.attributes.as_path = paths[i % paths.size()];
+    }
+    w.write(m);
+  }
+  return w.take();
+}
+
+TEST(MrtHeap, DecodeAllocatesAtMostOneAndAHalfPerRecord) {
+  if (!heap_sessions_available()) GTEST_SKIP() << "allocator interposition unavailable";
+  constexpr std::size_t kRecords = 4096;
+  const auto bytes = shared_path_archive(kRecords);
+  obs::HeapProfiler& profiler = obs::HeapProfiler::global();
+  ASSERT_TRUE(profiler.start());
+  const auto records = decode_all(bytes);
+  const obs::HeapReport report = profiler.stop();
+  ASSERT_TRUE(report.valid);
+  ASSERT_EQ(records.size(), kRecords);
+  EXPECT_LE(static_cast<double>(report.allocs) / kRecords, 1.5) << report.allocs;
+}
+
+TEST(MrtHeap, CopyingDecodedRecordsAllocatesAtMostOneAndAHalfPerRecord) {
+  if (!heap_sessions_available()) GTEST_SKIP() << "allocator interposition unavailable";
+  constexpr std::size_t kRecords = 4096;
+  const auto records = decode_all(shared_path_archive(kRecords));
+  obs::HeapProfiler& profiler = obs::HeapProfiler::global();
+  ASSERT_TRUE(profiler.start());
+  const std::vector<MrtRecord> copy = records;
+  const obs::HeapReport report = profiler.stop();
+  ASSERT_TRUE(report.valid);
+  ASSERT_EQ(copy, records);
+  EXPECT_LE(static_cast<double>(report.allocs) / kRecords, 1.5) << report.allocs;
+}
+
+TEST(MrtHeap, EmptyHeadersCannotReserveManyTimesTheirSize) {
+  if (!heap_sessions_available()) GTEST_SKIP() << "allocator interposition unavailable";
+  // 64 Ki BGP4MP_MESSAGE_AS4 common headers, each with an empty body.
+  netbase::ByteWriter w;
+  for (int i = 0; i < 65536; ++i) {
+    w.u32(0);
+    w.u16(static_cast<std::uint16_t>(RecordType::kBgp4mp));
+    w.u16(static_cast<std::uint16_t>(Bgp4mpSubtype::kMessageAs4));
+    w.u32(0);
+  }
+  const auto bytes = w.take();
+  obs::HeapProfiler& profiler = obs::HeapProfiler::global();
+  ASSERT_TRUE(profiler.start());
+  EXPECT_THROW(decode_all(bytes), netbase::DecodeError);
+  const obs::HeapReport report = profiler.stop();
+  ASSERT_TRUE(report.valid);
+  EXPECT_LE(report.peak_live_bytes, 5 * bytes.size()) << "input " << bytes.size() << " bytes";
+}
 
 }  // namespace
 }  // namespace zombiescope::mrt
