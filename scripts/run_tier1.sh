@@ -13,14 +13,18 @@
 # keeps raw pointers into the caller's records, and the codec suites
 # under them: the byte reader's inline bounds checks, prefixes, and the
 # AS path's shared, reference-counted block through the UPDATE codec
-# and its round trips. These are single-threaded, so the TSan leg skips
-# them. Both legs run the JSON reader's suite (RIS-Live NDJSON is
-# network input), and the UBSan leg adds
-# -fsanitize=float-cast-overflow (see CMakeLists.txt). Both legs
+# and its round trips. It also encodes a whole simulated v4+v6 archive
+# (RisScenario.ProducesCoherentArchive, which pins its bytes), so the
+# one-pass UPDATE encoder's in-place writes and back-patched lengths
+# run over every message shape the simulator makes. These are
+# single-threaded, so the TSan leg skips them. Both legs run the JSON
+# reader's suite (RIS-Live NDJSON is network input), and the UBSan leg
+# adds -fsanitize=float-cast-overflow (see CMakeLists.txt). Both legs
 # run the socket reactor's suite and the WireE2E socket tests (the BGP
-# speaker and bridge over real loopback sessions); WireE2EReplay is
-# excluded there because its longlived2024 set-up alone takes minutes
-# under TSan (the plain build runs it). Each sanitizer leg ends
+# speaker, the bridge's burst writes, the feed's ticket reorder heap
+# and its stream restart, over real loopback sessions); WireE2EReplay
+# is excluded there because its longlived2024 set-up alone takes
+# minutes under TSan (the plain build runs it). Each sanitizer leg ends
 # with a 30-second zslived tap-demo soak under concurrent curl clients,
 # which also writes the metrics, trace and journal files at exit. The
 # plain leg ends by replaying the default archive through one shard
@@ -69,7 +73,7 @@ OBS_TARGETS="json_test reactor_test obs_test journal_test session_test http_test
   causal_test causal_e2e_test live_test realtime_test \
   wire_test wire_e2e_test wirefault_test zswire zslived zstop zsreport"
 # Single-threaded suites for the ASan+UBSan leg only.
-ASAN_ONLY_TARGETS="netbase_test bgp_test mrt_test zombie_test fuzz_codec_test"
+ASAN_ONLY_TARGETS="netbase_test bgp_test mrt_test zombie_test fuzz_codec_test scenarios_test"
 
 # A 30-second zslived soak under the instrumented build: the tap demo
 # feeds a live simulation through the sharded service while curl
@@ -328,7 +332,7 @@ cmake --build "${ASAN_DIR}" -j --target ${OBS_TARGETS} ${ASAN_ONLY_TARGETS}
 # Parameterized suites are named Seeds/CodecFuzz.*, so CodecFuzz and
 # UpdateRoundTrip are unanchored.
 ctest --test-dir "${ASAN_DIR}" --output-on-failure \
-  -R '^Obs|^Json|^Reactor|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.|^AsPath|^UpdateCodec|UpdateRoundTrip|^Bytes\.|^Prefix' \
+  -R '^Obs|^Json|^Reactor|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.|^AsPath|^UpdateCodec|UpdateRoundTrip|^Bytes\.|^Prefix|^RisScenario\.ProducesCoherentArchive$' \
   -E '^WireE2EReplay'
 soak_zslived "${ASAN_DIR}" "asan"
 soak_bgp "${ASAN_DIR}" "asan"

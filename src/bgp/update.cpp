@@ -1,6 +1,7 @@
 #include "bgp/update.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "bgp/types.hpp"
 
@@ -19,29 +20,81 @@ constexpr std::uint16_t kAfiIpv4 = 1;
 constexpr std::uint16_t kAfiIpv6 = 2;
 constexpr std::uint8_t kSafiUnicast = 1;
 
-void split_by_family(std::span<const Prefix> in, std::vector<Prefix>& v4,
-                     std::vector<Prefix>& v6) {
-  for (const auto& p : in) (p.is_v4() ? v4 : v6).push_back(p);
+// The flags byte as sent: the extended-length bit must agree with the
+// length field, so it is normalized both ways (a preserved unknown
+// attribute may carry a gratuitous extended-length flag from the wire).
+std::uint8_t length_flags(std::uint8_t flags, std::size_t length) {
+  return length > 255 ? static_cast<std::uint8_t>(flags | kAttrFlagExtendedLength)
+                      : static_cast<std::uint8_t>(flags & ~kAttrFlagExtendedLength);
 }
 
-std::vector<std::uint8_t> encode_mp_reach(const IpAddress& next_hop,
-                                          std::span<const Prefix> v6_nlri) {
-  ByteWriter w;
-  w.u16(kAfiIpv6);
-  w.u8(kSafiUnicast);
-  w.u8(16);  // next-hop length
-  w.bytes(std::span<const std::uint8_t>(next_hop.bytes().data(), 16));
-  w.u8(0);  // reserved / SNPA count
-  encode_nlri(w, v6_nlri);
-  return w.take();
+// Big-endian appends and back-patches on the caller's buffer.
+void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
+  out.push_back(static_cast<std::uint8_t>(v >> 8));
+  out.push_back(static_cast<std::uint8_t>(v));
 }
 
-std::vector<std::uint8_t> encode_mp_unreach(std::span<const Prefix> v6_withdrawn) {
-  ByteWriter w;
-  w.u16(kAfiIpv6);
-  w.u8(kSafiUnicast);
-  encode_nlri(w, v6_withdrawn);
-  return w.take();
+void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  put_u16(out, static_cast<std::uint16_t>(v >> 16));
+  put_u16(out, static_cast<std::uint16_t>(v));
+}
+
+void put_bytes(std::vector<std::uint8_t>& out, const std::uint8_t* data, std::size_t n) {
+  out.insert(out.end(), data, data + n);
+}
+
+// A 16-bit length of the bytes after it, from `at` to the end.
+void patch_length(std::vector<std::uint8_t>& out, std::size_t at) {
+  const std::size_t length = out.size() - at - 2;
+  out[at] = static_cast<std::uint8_t>(length >> 8);
+  out[at + 1] = static_cast<std::uint8_t>(length);
+}
+
+// NLRI encoding: a length byte and the address's significant bytes.
+void put_prefix(std::vector<std::uint8_t>& out, const Prefix& p) {
+  out.push_back(static_cast<std::uint8_t>(p.length()));
+  put_bytes(out, p.address().bytes().data(), static_cast<std::size_t>((p.length() + 7) / 8));
+}
+
+// A fixed-size attribute's header.
+void put_header(std::vector<std::uint8_t>& out, std::uint8_t flags, AttrType type,
+                std::uint8_t length) {
+  out.push_back(flags);
+  out.push_back(static_cast<std::uint8_t>(type));
+  out.push_back(length);
+}
+
+// An attribute whose payload is written next: its header with a
+// one-byte length that end_attribute() fills in. Returns where the
+// payload starts.
+std::size_t begin_attribute(std::vector<std::uint8_t>& out, std::uint8_t flags,
+                            AttrType type) {
+  put_header(out, flags, type, 0);
+  return out.size();
+}
+
+// Fills in the length of the attribute whose payload starts at
+// `payload` and runs to the end. A payload over 255 bytes takes the
+// two-byte extended length, so it moves up one byte; one over 65,535
+// makes the whole message too long, which encode_into() rejects.
+void end_attribute(std::vector<std::uint8_t>& out, std::size_t payload) {
+  const std::size_t length = out.size() - payload;
+  out[payload - 3] = length_flags(out[payload - 3], length);
+  if (length <= 255) {
+    out[payload - 1] = static_cast<std::uint8_t>(length);
+    return;
+  }
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(payload), 0);
+  out[payload - 1] = static_cast<std::uint8_t>(length >> 8);
+  out[payload] = static_cast<std::uint8_t>(length);
+}
+
+// An attribute with its payload in hand.
+void put_attribute(std::vector<std::uint8_t>& out, std::uint8_t flags, std::uint8_t type,
+                   std::span<const std::uint8_t> payload) {
+  const std::size_t at = begin_attribute(out, flags, static_cast<AttrType>(type));
+  put_bytes(out, payload.data(), payload.size());
+  end_attribute(out, at);
 }
 
 }  // namespace
@@ -50,17 +103,9 @@ namespace wire {
 
 void write_attribute(ByteWriter& w, std::uint8_t flags, AttrType type,
                      std::span<const std::uint8_t> payload) {
-  // The extended-length flag must agree with the length field we emit;
-  // normalize it both ways (a preserved unknown attribute may carry a
-  // gratuitous extended-length flag from the wire).
-  const bool extended = payload.size() > 255;
-  if (extended)
-    flags |= kAttrFlagExtendedLength;
-  else
-    flags = static_cast<std::uint8_t>(flags & ~kAttrFlagExtendedLength);
-  w.u8(flags);
+  w.u8(length_flags(flags, payload.size()));
   w.u8(static_cast<std::uint8_t>(type));
-  if (extended)
+  if (payload.size() > 255)
     w.u16(static_cast<std::uint16_t>(payload.size()));
   else
     w.u8(static_cast<std::uint8_t>(payload.size()));
@@ -68,18 +113,6 @@ void write_attribute(ByteWriter& w, std::uint8_t flags, AttrType type,
 }
 
 }  // namespace wire
-
-using wire::encode_as_path;
-using wire::write_attribute;
-
-void encode_nlri(ByteWriter& w, std::span<const Prefix> prefixes) {
-  for (const auto& p : prefixes) {
-    w.u8(static_cast<std::uint8_t>(p.length()));
-    const int nbytes = (p.length() + 7) / 8;
-    w.bytes(std::span<const std::uint8_t>(p.address().bytes().data(),
-                                          static_cast<std::size_t>(nbytes)));
-  }
-}
 
 void decode_nlri(ByteReader& r, AddressFamily family, std::vector<Prefix>& out) {
   while (!r.done()) {
@@ -98,104 +131,128 @@ void decode_nlri(ByteReader& r, AddressFamily family, std::vector<Prefix>& out) 
 }
 
 std::vector<std::uint8_t> UpdateMessage::encode() const {
-  std::vector<Prefix> withdrawn_v4, withdrawn_v6, announced_v4, announced_v6;
-  split_by_family(withdrawn, withdrawn_v4, withdrawn_v6);
-  split_by_family(announced, announced_v4, announced_v6);
+  std::vector<std::uint8_t> out;
+  // Room for the header, the fixed attributes and a short path, so a
+  // typical message is written without the buffer growing.
+  out.reserve(128);
+  encode_into(out);
+  return out;
+}
 
-  ByteWriter body;
+void UpdateMessage::encode_into(std::vector<std::uint8_t>& out,
+                                std::span<const RawAttribute> extra) const {
+  const bool has_reach = !announced.empty();
+  if (has_reach && attributes.aggregator && !attributes.aggregator->address.is_v4())
+    throw DecodeError("AGGREGATOR address must be IPv4");
+  const std::size_t start = out.size();
 
-  // Withdrawn Routes (IPv4 only at top level).
-  {
-    ByteWriter nlri;
-    encode_nlri(nlri, withdrawn_v4);
-    body.u16(static_cast<std::uint16_t>(nlri.size()));
-    body.bytes(nlri.data());
+  // BGP header; the length is patched last.
+  out.insert(out.end(), 16, 0xff);
+  put_u16(out, 0);
+  out.push_back(static_cast<std::uint8_t>(MessageType::kUpdate));
+
+  // Withdrawn Routes: IPv4 at the top level, IPv6 in MP_UNREACH_NLRI.
+  const std::size_t withdrawn_at = out.size();
+  put_u16(out, 0);
+  bool withdrawn_v6 = false;
+  for (const Prefix& p : withdrawn) {
+    if (p.is_v4())
+      put_prefix(out, p);
+    else
+      withdrawn_v6 = true;
   }
+  patch_length(out, withdrawn_at);
 
   // Path attributes.
-  ByteWriter attrs;
-  const bool has_reach = !announced.empty();
+  const std::size_t attributes_at = out.size();
+  put_u16(out, 0);
   if (has_reach) {
-    attrs.u8(kAttrFlagTransitive);
-    attrs.u8(static_cast<std::uint8_t>(AttrType::kOrigin));
-    attrs.u8(1);
-    attrs.u8(static_cast<std::uint8_t>(attributes.origin));
+    bool announced_v4 = false;
+    bool announced_v6 = false;
+    for (const Prefix& p : announced) (p.is_v4() ? announced_v4 : announced_v6) = true;
 
-    write_attribute(attrs, kAttrFlagTransitive, AttrType::kAsPath,
-                    encode_as_path(attributes.as_path));
+    put_header(out, kAttrFlagTransitive, AttrType::kOrigin, 1);
+    out.push_back(static_cast<std::uint8_t>(attributes.origin));
 
-    if (!announced_v4.empty()) {
+    std::size_t payload = begin_attribute(out, kAttrFlagTransitive, AttrType::kAsPath);
+    for (const PathSegment segment : attributes.as_path.segments()) {
+      out.push_back(static_cast<std::uint8_t>(segment.type));
+      out.push_back(static_cast<std::uint8_t>(segment.asns.size()));
+      for (const Asn asn : segment.asns) put_u32(out, asn);  // 4-byte ASNs (RFC 6793)
+    }
+    end_attribute(out, payload);
+
+    if (announced_v4) {
       // In the (rare) mixed-family case the configured next hop may be
       // v6; fall back to the unspecified v4 next hop for the NEXT_HOP
       // attribute, as the v6 hop travels inside MP_REACH_NLRI.
       IpAddress nh = attributes.next_hop.value_or(IpAddress::v4(0u));
       if (!nh.is_v4()) nh = IpAddress::v4(0u);
-      attrs.u8(kAttrFlagTransitive);
-      attrs.u8(static_cast<std::uint8_t>(AttrType::kNextHop));
-      attrs.u8(4);
-      attrs.bytes(std::span<const std::uint8_t>(nh.bytes().data(), 4));
+      put_header(out, kAttrFlagTransitive, AttrType::kNextHop, 4);
+      put_bytes(out, nh.bytes().data(), 4);
     }
     if (attributes.med) {
-      attrs.u8(kAttrFlagOptional);
-      attrs.u8(static_cast<std::uint8_t>(AttrType::kMultiExitDisc));
-      attrs.u8(4);
-      attrs.u32(*attributes.med);
+      put_header(out, kAttrFlagOptional, AttrType::kMultiExitDisc, 4);
+      put_u32(out, *attributes.med);
     }
     if (attributes.local_pref) {
-      attrs.u8(kAttrFlagTransitive);
-      attrs.u8(static_cast<std::uint8_t>(AttrType::kLocalPref));
-      attrs.u8(4);
-      attrs.u32(*attributes.local_pref);
+      put_header(out, kAttrFlagTransitive, AttrType::kLocalPref, 4);
+      put_u32(out, *attributes.local_pref);
     }
-    if (attributes.atomic_aggregate) {
-      attrs.u8(kAttrFlagTransitive);
-      attrs.u8(static_cast<std::uint8_t>(AttrType::kAtomicAggregate));
-      attrs.u8(0);
-    }
+    if (attributes.atomic_aggregate)
+      put_header(out, kAttrFlagTransitive, AttrType::kAtomicAggregate, 0);
     if (attributes.aggregator) {
-      if (!attributes.aggregator->address.is_v4())
-        throw DecodeError("AGGREGATOR address must be IPv4");
-      attrs.u8(kAttrFlagOptional | kAttrFlagTransitive);
-      attrs.u8(static_cast<std::uint8_t>(AttrType::kAggregator));
-      attrs.u8(8);
-      attrs.u32(attributes.aggregator->asn);
-      attrs.bytes(std::span<const std::uint8_t>(attributes.aggregator->address.bytes().data(), 4));
+      put_header(out, kAttrFlagOptional | kAttrFlagTransitive, AttrType::kAggregator, 8);
+      put_u32(out, attributes.aggregator->asn);
+      put_bytes(out, attributes.aggregator->address.bytes().data(), 4);
     }
     if (!attributes.communities.empty()) {
-      ByteWriter cw;
-      for (const auto& c : attributes.communities) cw.u32(c.value());
-      write_attribute(attrs, kAttrFlagOptional | kAttrFlagTransitive, AttrType::kCommunities,
-                      cw.take());
+      payload = begin_attribute(out, kAttrFlagOptional | kAttrFlagTransitive,
+                                AttrType::kCommunities);
+      for (const Community& c : attributes.communities) put_u32(out, c.value());
+      end_attribute(out, payload);
     }
-    if (!announced_v6.empty()) {
+    if (announced_v6) {
       std::array<std::uint8_t, 16> zero{};
       IpAddress nh = attributes.next_hop.value_or(IpAddress::v6(zero));
       if (!nh.is_v6()) nh = IpAddress::v6(zero);
-      write_attribute(attrs, kAttrFlagOptional, AttrType::kMpReachNlri,
-                      encode_mp_reach(nh, announced_v6));
+      payload = begin_attribute(out, kAttrFlagOptional, AttrType::kMpReachNlri);
+      put_u16(out, kAfiIpv6);
+      out.push_back(kSafiUnicast);
+      out.push_back(16);  // next-hop length
+      put_bytes(out, nh.bytes().data(), 16);
+      out.push_back(0);  // reserved / SNPA count
+      for (const Prefix& p : announced)
+        if (!p.is_v4()) put_prefix(out, p);
+      end_attribute(out, payload);
     }
   }
-  if (!withdrawn_v6.empty()) {
-    write_attribute(attrs, kAttrFlagOptional, AttrType::kMpUnreachNlri,
-                    encode_mp_unreach(withdrawn_v6));
+  if (withdrawn_v6) {
+    const std::size_t payload =
+        begin_attribute(out, kAttrFlagOptional, AttrType::kMpUnreachNlri);
+    put_u16(out, kAfiIpv6);
+    out.push_back(kSafiUnicast);
+    for (const Prefix& p : withdrawn)
+      if (!p.is_v4()) put_prefix(out, p);
+    end_attribute(out, payload);
   }
-  for (const auto& raw : attributes.unknown) {
-    write_attribute(attrs, raw.flags, static_cast<AttrType>(raw.type), raw.payload);
-  }
-
-  body.u16(static_cast<std::uint16_t>(attrs.size()));
-  body.bytes(attrs.data());
+  for (const RawAttribute& raw : attributes.unknown)
+    put_attribute(out, raw.flags, raw.type, raw.payload);
+  for (const RawAttribute& raw : extra) put_attribute(out, raw.flags, raw.type, raw.payload);
+  patch_length(out, attributes_at);
 
   // Top-level NLRI (IPv4 only).
-  encode_nlri(body, announced_v4);
+  for (const Prefix& p : announced)
+    if (p.is_v4()) put_prefix(out, p);
 
-  // BGP header.
-  ByteWriter msg;
-  for (int i = 0; i < 16; ++i) msg.u8(0xff);
-  msg.u16(static_cast<std::uint16_t>(19 + body.size()));
-  msg.u8(static_cast<std::uint8_t>(MessageType::kUpdate));
-  msg.bytes(body.data());
-  return msg.take();
+  const std::size_t length = out.size() - start;
+  if (length > 0xffff) {
+    out.resize(start);
+    throw DecodeError("UPDATE: encodes to " + std::to_string(length) +
+                      " bytes, over the 65535 its length field can state");
+  }
+  out[start + 16] = static_cast<std::uint8_t>(length >> 8);
+  out[start + 17] = static_cast<std::uint8_t>(length);
 }
 
 UpdateMessage UpdateMessage::decode(std::span<const std::uint8_t> wire,

@@ -40,7 +40,18 @@ struct UpdateMessage {
   bool is_announcement() const { return !announced.empty(); }
 
   /// Serializes to a full BGP message (16-byte marker, length, type).
+  /// Throws netbase::DecodeError as encode_into() does.
   std::vector<std::uint8_t> encode() const;
+
+  /// Appends the full BGP message to `out`, in one pass: the header,
+  /// withdrawn routes, attributes and NLRI are written in place and the
+  /// three length fields back-patched. The `extra` attributes follow
+  /// attributes.unknown, where wire::stamp_update would put them.
+  /// Throws netbase::DecodeError, leaving `out` as it was, when the
+  /// message would exceed the 65,535 bytes its length field can state
+  /// or an announcement's AGGREGATOR address is not IPv4.
+  void encode_into(std::vector<std::uint8_t>& out,
+                   std::span<const RawAttribute> extra = {}) const;
 
   /// Parses a full BGP message. Throws netbase::DecodeError on
   /// malformed input. Non-UPDATE messages are rejected. With `paths`,
@@ -54,9 +65,6 @@ struct UpdateMessage {
 
   friend bool operator==(const UpdateMessage&, const UpdateMessage&) = default;
 };
-
-/// Encodes NLRI prefixes (length byte + packed address bits) into `w`.
-void encode_nlri(netbase::ByteWriter& w, std::span<const netbase::Prefix> prefixes);
 
 /// Decodes NLRI until the reader is exhausted, appending to `out`.
 void decode_nlri(netbase::ByteReader& r, netbase::AddressFamily family,

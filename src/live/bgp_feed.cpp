@@ -30,29 +30,58 @@ void BgpFeedSource::attach_http(obs::HttpServer& http) {
   });
 }
 
-void BgpFeedSource::submit_or_queue(LiveService& service, PendingRecord&& pending,
-                                    bool stamped, RunStats& stats) {
-  if (!stamped) {
-    ++stats.records;
-    service.submit(FeedItem{std::move(pending.record), pending.ingest});
-    return;
-  }
+void BgpFeedSource::submit_or_queue(LiveService& service, FeedItem&& item,
+                                    std::optional<std::uint64_t> sequence,
+                                    RunStats& stats) {
   // Bridge records re-sequence: the archive order must survive the
   // kernel's cross-socket interleaving for live == batch equivalence.
-  reorder_.push_back(std::move(pending));
-  std::push_heap(reorder_.begin(), reorder_.end(), sequence_after);
-  while (!reorder_.empty() && reorder_.front().sequence <= next_sequence_) {
-    if (reorder_.front().sequence == next_sequence_) ++next_sequence_;
+  // Every parked record is past next_sequence_, so one that is not
+  // goes first.
+  if (sequence.has_value() && *sequence > next_sequence_) {
+    std::uint64_t slot = parked_.size();
+    if (free_slots_.empty()) {
+      parked_.push_back(std::move(item));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      parked_[slot] = std::move(item);
+    }
+    tickets_.push_back(Ticket{*sequence, slot});
+    std::push_heap(tickets_.begin(), tickets_.end(), ticket_after);
+    return;
+  }
+  ++stats.records;
+  service.submit(std::move(item));
+  if (!sequence.has_value()) return;
+  if (*sequence == next_sequence_) ++next_sequence_;
+  while (!tickets_.empty() && tickets_.front().sequence <= next_sequence_) {
+    if (tickets_.front().sequence == next_sequence_) ++next_sequence_;
     release_top(service, stats);
   }
 }
 
 void BgpFeedSource::release_top(LiveService& service, RunStats& stats) {
-  std::pop_heap(reorder_.begin(), reorder_.end(), sequence_after);
-  PendingRecord release = std::move(reorder_.back());
-  reorder_.pop_back();
+  std::pop_heap(tickets_.begin(), tickets_.end(), ticket_after);
+  const std::uint64_t slot = tickets_.back().slot;
+  tickets_.pop_back();
+  free_slots_.push_back(slot);
   ++stats.records;
-  service.submit(FeedItem{std::move(release.record), release.ingest});
+  service.submit(std::move(parked_[slot]));
+}
+
+void BgpFeedSource::bridge_state(LiveService& service, bgp::SessionState old_state,
+                                 bgp::SessionState new_state, RunStats& stats) {
+  if (new_state == bgp::SessionState::kEstablished) {
+    ++bridge_sessions_;
+    return;
+  }
+  if (old_state != bgp::SessionState::kEstablished || bridge_sessions_ == 0 ||
+      --bridge_sessions_ > 0)
+    return;
+  while (!tickets_.empty()) release_top(service, stats);
+  parked_.clear();
+  free_slots_.clear();
+  next_sequence_ = 0;
 }
 
 FeedSource::RunStats BgpFeedSource::run(LiveService& service) {
@@ -63,6 +92,8 @@ FeedSource::RunStats BgpFeedSource::run(LiveService& service) {
                          std::chrono::steady_clock::time_point ingest) {
     const auto stamp = wire::extract_stamp(update);
     const auto state = wire::extract_state(update);
+    const auto sequence =
+        stamp ? std::optional<std::uint64_t>(stamp->sequence) : std::nullopt;
     if (state.has_value()) {
       // An attr-253 empty UPDATE: a Bgp4mpStateChange in transit.
       mrt::Bgp4mpStateChange change;
@@ -72,10 +103,8 @@ FeedSource::RunStats BgpFeedSource::run(LiveService& service) {
       change.peer_address = ref.peer_address;
       change.old_state = static_cast<bgp::SessionState>(state->first);
       change.new_state = static_cast<bgp::SessionState>(state->second);
-      submit_or_queue(service,
-                      PendingRecord{stamp ? stamp->sequence : 0,
-                                    mrt::MrtRecord{std::move(change)}, ingest},
-                      stamp.has_value(), stats);
+      submit_or_queue(service, FeedItem{mrt::MrtRecord{std::move(change)}, ingest},
+                      sequence, stats);
       return;
     }
     mrt::Bgp4mpMessage message;
@@ -84,20 +113,23 @@ FeedSource::RunStats BgpFeedSource::run(LiveService& service) {
     message.local_asn = config_.local_asn;
     message.peer_address = ref.peer_address;
     message.update = std::move(update);
-    submit_or_queue(service,
-                    PendingRecord{stamp ? stamp->sequence : 0,
-                                  mrt::MrtRecord{std::move(message)}, ingest},
-                    stamp.has_value(), stats);
+    submit_or_queue(service, FeedItem{mrt::MrtRecord{std::move(message)}, ingest},
+                    sequence, stats);
   });
 
   speaker_.on_state([this, &service, &stats](const wire::SessionRef& ref,
                                              bgp::SessionState old_state,
                                              bgp::SessionState new_state,
                                              bool retained) {
-    // Bridge transport flaps are not routing events; a GR-retained
-    // drop deliberately hides from the detector (the RIB kept the
-    // routes — that is the zombie being manufactured).
-    if (ref.bridged || retained) return;
+    // Bridge transport flaps are not routing events, but they bound a
+    // replay stream; a GR-retained drop deliberately hides from the
+    // detector (the RIB kept the routes — that is the zombie being
+    // manufactured).
+    if (ref.bridged) {
+      bridge_state(service, old_state, new_state, stats);
+      return;
+    }
+    if (retained) return;
     mrt::Bgp4mpStateChange change;
     change.timestamp = system_seconds();
     change.peer_asn = ref.peer_asn;
@@ -130,7 +162,7 @@ FeedSource::RunStats BgpFeedSource::run(LiveService& service) {
 
   // Anything still parked in the reorder heap (a bridge died mid-run)
   // flushes in sequence order rather than vanishing.
-  while (!reorder_.empty()) release_top(service, stats);
+  while (!tickets_.empty()) release_top(service, stats);
   return stats;
 }
 

@@ -15,7 +15,12 @@
 //     exact archive order — so a wire-driven replay yields the same
 //     records in the same order as ReplayFeedSource, and therefore the
 //     same zombie set (tests/wire_e2e_test.cpp). A bridge session's
-//     own socket lifecycle is NOT a routing event and is suppressed.
+//     own socket lifecycle is NOT a routing event and is suppressed,
+//     but it bounds a stream: a replay keeps a bridge session
+//     established from its first record to its last, so when the last
+//     one ends the feed submits whatever is still parked (a stream
+//     that lost records) and the next replay's sequence starts again
+//     at 0. Replays run one after another, not at once.
 //   * A real peer dropping with graceful restart negotiated is
 //     reported with retained=true: the feed suppresses the state
 //     change, because the collector's RIB did not flush — this is the
@@ -26,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,25 +64,37 @@ class BgpFeedSource : public FeedSource {
   void stop() override { speaker_.stop(); }
 
  private:
-  struct PendingRecord {
+  /// A parked record's place in the reorder heap: 16 bytes, so a heap
+  /// sift moves tickets and each record moves in and out of its slot
+  /// once.
+  struct Ticket {
     std::uint64_t sequence = 0;
-    mrt::MrtRecord record;
-    std::chrono::steady_clock::time_point ingest{};
+    std::uint64_t slot = 0;  // index into parked_
   };
-  /// Heap order for reorder_: the lowest sequence on top.
-  static bool sequence_after(const PendingRecord& a, const PendingRecord& b) {
-    return a.sequence > b.sequence;
+  /// Heap order for tickets_: the lowest (sequence, slot) on top.
+  static bool ticket_after(const Ticket& a, const Ticket& b) {
+    return a.sequence != b.sequence ? a.sequence > b.sequence : a.slot > b.slot;
   }
 
-  void submit_or_queue(LiveService& service, PendingRecord&& pending,
-                       bool stamped, RunStats& stats);
-  /// Pops the lowest-sequence record off reorder_ and submits it.
+  /// Submits an unstamped record at once; parks a stamped one until
+  /// every lower sequence number has been submitted.
+  void submit_or_queue(LiveService& service, FeedItem&& item,
+                       std::optional<std::uint64_t> sequence, RunStats& stats);
+  /// Submits the lowest-sequence parked record.
   void release_top(LiveService& service, RunStats& stats);
+  /// Counts bridge sessions up and down. When the last one ends, its
+  /// stream is over: every parked record is submitted in sequence
+  /// order, and the next stream starts again at sequence 0.
+  void bridge_state(LiveService& service, bgp::SessionState old_state,
+                    bgp::SessionState new_state, RunStats& stats);
 
   wire::SpeakerConfig config_;
   wire::BgpSpeaker speaker_;
-  std::vector<PendingRecord> reorder_;  // a min-heap on sequence
+  std::vector<FeedItem> parked_;         // slots; the free ones in free_slots_
+  std::vector<std::uint64_t> free_slots_;
+  std::vector<Ticket> tickets_;          // a min-heap on (sequence, slot)
   std::uint64_t next_sequence_ = 0;
+  std::size_t bridge_sessions_ = 0;      // established bridge sessions
 };
 
 }  // namespace zombiescope::live

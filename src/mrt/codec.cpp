@@ -252,8 +252,9 @@ bgp::PathAttributes decode_rib_attributes(ByteReader r, bgp::AsPathInterner& pat
 std::vector<std::uint8_t> encode_body(const Bgp4mpMessage& m) {
   ByteWriter w;
   write_bgp4mp_header(w, m.peer_asn, m.local_asn, m.peer_address, m.local_address);
-  w.bytes(m.update.encode());
-  return w.take();
+  std::vector<std::uint8_t> body = w.take();
+  m.update.encode_into(body);
+  return body;
 }
 
 std::vector<std::uint8_t> encode_body(const Bgp4mpStateChange& s) {

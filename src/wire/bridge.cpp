@@ -18,18 +18,43 @@ namespace {
 // them through; partial bit clear (we are the originator).
 constexpr std::uint8_t kBridgeAttrFlags = 0xc0;
 
-std::vector<std::uint8_t> encode_stamp(const BridgeStamp& stamp) {
-  netbase::ByteWriter writer;
-  writer.u64(static_cast<std::uint64_t>(stamp.timestamp));
-  writer.u64(stamp.sequence);
-  return std::move(writer).take();
+// The stamp attribute's 16-byte payload: timestamp, then sequence,
+// both big-endian u64.
+void write_stamp(std::vector<std::uint8_t>& payload, const BridgeStamp& stamp) {
+  payload.resize(16);
+  const auto timestamp = static_cast<std::uint64_t>(stamp.timestamp);
+  for (int i = 0; i < 8; ++i) {
+    payload[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(timestamp >> (56 - 8 * i));
+    payload[static_cast<std::size_t>(8 + i)] =
+        static_cast<std::uint8_t>(stamp.sequence >> (56 - 8 * i));
+  }
+}
+
+// Appends `update`, with `extra` attributes, to `out` and returns its
+// size when it encodes to at most kMaxMessageSize bytes. Otherwise
+// returns 0 with `out` as it was: a message too long for even the BGP
+// length field, whose encode throws, does not fit either, and neither
+// does one the codec refuses (its parts' encode then says why).
+std::size_t append_if_fits(std::vector<std::uint8_t>& out, const bgp::UpdateMessage& update,
+                           std::span<const bgp::RawAttribute> extra = {}) {
+  const std::size_t start = out.size();
+  try {
+    update.encode_into(out, extra);
+  } catch (const netbase::DecodeError&) {
+    return 0;
+  }
+  const std::size_t size = out.size() - start;
+  if (size <= kMaxMessageSize) return size;
+  out.resize(start);
+  return 0;
 }
 
 }  // namespace
 
 void stamp_update(bgp::UpdateMessage& update, const BridgeStamp& stamp) {
-  update.attributes.unknown.push_back(
-      bgp::RawAttribute{kBridgeAttrFlags, kAttrBridgeStamp, encode_stamp(stamp)});
+  bgp::RawAttribute attribute{kBridgeAttrFlags, kAttrBridgeStamp, {}};
+  write_stamp(attribute.payload, stamp);
+  update.attributes.unknown.push_back(std::move(attribute));
 }
 
 std::optional<BridgeStamp> extract_stamp(bgp::UpdateMessage& update) {
@@ -76,40 +101,40 @@ std::optional<std::pair<std::uint16_t, std::uint16_t>> extract_state(
 }
 
 std::vector<bgp::UpdateMessage> split_update(bgp::UpdateMessage update) {
-  if (update.encode().size() <= kMaxMessageSize) return {std::move(update)};
+  // One buffer, with room for any message that fits, serves every fit
+  // check: each is a single encode.
+  std::vector<std::uint8_t> encoded;
+  encoded.reserve(kMaxMessageSize);
+  const auto fits = [&encoded](const bgp::UpdateMessage& message) {
+    encoded.clear();
+    return append_if_fits(encoded, message) > 0;
+  };
+  if (fits(update)) return {std::move(update)};
+  // Withdrawals carry no attributes: peel them into their own messages
+  // first, then the announcements, each part sharing the attribute
+  // set. Parts hold 128 prefixes, halved while a part does not fit (a
+  // pathological attribute set) down to a single prefix.
   std::vector<bgp::UpdateMessage> parts;
-  // Withdrawals carry no attributes: peel them into their own
-  // messages first, a few hundred prefixes at a time.
-  constexpr std::size_t kChunk = 128;
-  for (std::size_t i = 0; i < update.withdrawn.size(); i += kChunk) {
-    bgp::UpdateMessage part;
-    part.withdrawn.assign(
-        update.withdrawn.begin() + static_cast<std::ptrdiff_t>(i),
-        update.withdrawn.begin() +
-            static_cast<std::ptrdiff_t>(std::min(i + kChunk, update.withdrawn.size())));
-    parts.push_back(std::move(part));
-  }
-  for (std::size_t i = 0; i < update.announced.size(); i += kChunk) {
-    bgp::UpdateMessage part;
-    part.attributes = update.attributes;
-    part.announced.assign(
-        update.announced.begin() + static_cast<std::ptrdiff_t>(i),
-        update.announced.begin() +
-            static_cast<std::ptrdiff_t>(std::min(i + kChunk, update.announced.size())));
-    parts.push_back(std::move(part));
-  }
-  // A pathological attribute set could still overflow; recurse until
-  // every part fits or cannot shrink further.
-  std::vector<bgp::UpdateMessage> fitted;
-  for (auto& part : parts) {
-    if (part.encode().size() <= kMaxMessageSize ||
-        part.withdrawn.size() + part.announced.size() <= 1) {
-      fitted.push_back(std::move(part));
-      continue;
+  std::size_t chunk = 128;
+  const auto add_parts = [&](const std::vector<netbase::Prefix>& prefixes, bool announce) {
+    for (std::size_t i = 0; i < prefixes.size();) {
+      bgp::UpdateMessage part;
+      if (announce) part.attributes = update.attributes;
+      auto& routes = announce ? part.announced : part.withdrawn;
+      for (;;) {
+        const auto first = prefixes.begin() + static_cast<std::ptrdiff_t>(i);
+        routes.assign(first, first + static_cast<std::ptrdiff_t>(
+                                         std::min(chunk, prefixes.size() - i)));
+        if (routes.size() == 1 || fits(part)) break;
+        chunk /= 2;
+      }
+      i += routes.size();
+      parts.push_back(std::move(part));
     }
-    for (auto& sub : split_update(std::move(part))) fitted.push_back(std::move(sub));
-  }
-  return fitted;
+  };
+  add_parts(update.withdrawn, /*announce=*/false);
+  add_parts(update.announced, /*announce=*/true);
+  return parts;
 }
 
 int wire_connect(const std::string& host, std::uint16_t port) {
@@ -182,13 +207,30 @@ BridgeStats replay_over_wire(std::span<const mrt::MrtRecord> records,
                              const BridgeOptions& options) {
   BridgeStats stats;
 
+  // One blocking socket per peer, in the order they opened, and the
+  // encoded messages each has not written yet. Every socket is closed
+  // on the way out, when a send or a handshake throws too.
+  struct Session {
+    int fd = -1;
+    std::vector<std::uint8_t> pending;
+  };
+  struct Sessions {
+    std::vector<Session> list;
+    Sessions() = default;
+    Sessions(const Sessions&) = delete;
+    Sessions& operator=(const Sessions&) = delete;
+    ~Sessions() {
+      for (const Session& session : list) ::close(session.fd);
+    }
+  } opened;
+  std::vector<Session>& sessions = opened.list;
   using PeerKey = std::pair<std::uint32_t, netbase::IpAddress>;
-  std::map<PeerKey, int> sessions;  // one blocking socket per peer
+  std::map<PeerKey, std::size_t> session_of;
 
-  auto session_for = [&](std::uint32_t asn, const netbase::IpAddress& address) {
+  auto session_for = [&](std::uint32_t asn, const netbase::IpAddress& address) -> Session& {
     const PeerKey key{asn, address};
-    auto it = sessions.find(key);
-    if (it != sessions.end()) return it->second;
+    auto it = session_of.find(key);
+    if (it != session_of.end()) return sessions[it->second];
     const int fd = wire_connect(host, port);
     // BGP ID derived from the logical address so collisions resolve
     // deterministically across bridge sessions.
@@ -205,60 +247,105 @@ BridgeStats replay_over_wire(std::span<const mrt::MrtRecord> records,
       throw;
     }
     ++stats.sessions;
-    return sessions.emplace(key, fd).first->second;
+    session_of.emplace(key, sessions.size());
+    return sessions.emplace_back(Session{fd, {}});
   };
 
-  // One blocking write per message. The collector never blocks on this
+  // Messages queue per session and go out in bursts: once the queued
+  // bytes of all sessions reach kBurstBytes, each session writes its
+  // queue with one blocking send. The collector never blocks on this
   // client (its loop is non-blocking), so the writes cannot deadlock;
-  // its KEEPALIVEs wait in the receive buffer until the close.
-  auto send_blocking = [&](int fd, const std::vector<std::uint8_t>& wire) {
-    send_message(fd, wire);
-    stats.bytes_sent += wire.size();
-    ++stats.messages_sent;
+  // its KEEPALIVEs wait in the receive buffer until the close. Writing
+  // every session at once keeps their streams close in sequence, which
+  // keeps the receiver's reorder heap shallow.
+  constexpr std::size_t kBurstBytes = 16 * 1024;
+  std::size_t queued_bytes = 0;
+  auto flush = [&] {
+    for (Session& session : sessions) {
+      if (session.pending.empty()) continue;
+      send_message(session.fd, session.pending);
+      session.pending.clear();
+    }
+    queued_bytes = 0;
   };
+  auto queued = [&](std::size_t size) {
+    stats.bytes_sent += size;
+    ++stats.messages_sent;
+    queued_bytes += size;
+    if (queued_bytes >= kBurstBytes) flush();
+  };
+
+  // The stamp rides as an extra attribute of the encode, rewritten in
+  // place for each message: the archive's update is never copied.
+  bgp::RawAttribute stamp{kBridgeAttrFlags, kAttrBridgeStamp, {}};
+  const std::span<const bgp::RawAttribute> extra =
+      options.stamp ? std::span<const bgp::RawAttribute>(&stamp, 1)
+                    : std::span<const bgp::RawAttribute>();
 
   std::uint64_t sequence = 0;
   for (const mrt::MrtRecord& record : records) {
     if (const auto* message = std::get_if<mrt::Bgp4mpMessage>(&record)) {
-      const int fd = session_for(message->peer_asn, message->peer_address);
+      Session& session = session_for(message->peer_asn, message->peer_address);
+      write_stamp(stamp.payload, BridgeStamp{message->timestamp, sequence});
+      if (const std::size_t size = append_if_fits(session.pending, message->update, extra)) {
+        ++sequence;
+        ++stats.updates_sent;
+        queued(size);
+        continue;
+      }
+      // Over the 4096-byte ceiling: send wire-legal parts, each with a
+      // stamp of its own.
       auto parts = split_update(message->update);
       if (parts.size() > 1) ++stats.splits;
-      for (bgp::UpdateMessage& part : parts) {
-        if (options.stamp)
-          stamp_update(part, BridgeStamp{message->timestamp, sequence});
-        ++sequence;
-        send_blocking(fd, encode_update(part));
+      for (const bgp::UpdateMessage& part : parts) {
+        write_stamp(stamp.payload, BridgeStamp{message->timestamp, sequence++});
+        const std::size_t size = encode_update_into(session.pending, part, extra);
         ++stats.updates_sent;
+        queued(size);
       }
     } else if (const auto* change = std::get_if<mrt::Bgp4mpStateChange>(&record)) {
-      const int fd = session_for(change->peer_asn, change->peer_address);
-      bgp::UpdateMessage update = make_state_update(
+      Session& session = session_for(change->peer_asn, change->peer_address);
+      const bgp::UpdateMessage update = make_state_update(
           static_cast<std::uint16_t>(change->old_state),
           static_cast<std::uint16_t>(change->new_state),
-          BridgeStamp{change->timestamp, sequence});
-      ++sequence;
-      send_blocking(fd, encode_update(update));
+          BridgeStamp{change->timestamp, sequence++});
+      const std::size_t size = encode_update_into(session.pending, update);
       ++stats.state_changes_sent;
+      queued(size);
     }
     // PeerIndexTable / RibEntryRecord carry no per-message wire form.
   }
+  flush();
 
+  // Cease on every session, then read until the collector closes it,
+  // so nothing is left unread (closing on unread input resets the
+  // connection, which can discard output not yet delivered). The first
+  // session says Cease last, once every other is closed: a collector
+  // that ends a replay stream when its last bridge session ends
+  // (live::BgpFeedSource) must not see that while a later session,
+  // whose handshake it may not have finished, still has records.
   NotificationMessage goodbye;
   goodbye.code = NotifyCode::kCease;
   goodbye.subcode = kCeaseAdminShutdown;
   const auto goodbye_wire = goodbye.encode();
-  for (const auto& [key, fd] : sessions) {
-    // Read what the collector sent first: closing a socket with unread
-    // input resets the connection, which can discard output not yet
-    // delivered.
-    char buf[4096];
-    while (netbase::recv_some(fd, buf, sizeof(buf), /*wait=*/false) > 0) {
-    }
+  const auto say_goodbye = [&](const Session& session) {
     try {
-      send_blocking(fd, goodbye_wire);
+      send_message(session.fd, goodbye_wire);
+      stats.bytes_sent += goodbye_wire.size();
+      ++stats.messages_sent;
     } catch (const std::runtime_error&) {
     }
-    ::close(fd);
+  };
+  const auto await_close = [](const Session& session) {
+    char buf[4096];
+    while (netbase::recv_some(session.fd, buf, sizeof(buf)) > 0) {
+    }
+  };
+  for (std::size_t i = 1; i < sessions.size(); ++i) say_goodbye(sessions[i]);
+  for (std::size_t i = 1; i < sessions.size(); ++i) await_close(sessions[i]);
+  if (!sessions.empty()) {
+    say_goodbye(sessions.front());
+    await_close(sessions.front());
   }
   return stats;
 }

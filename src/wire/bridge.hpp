@@ -23,7 +23,9 @@
 //
 // The bridge client opens one session per distinct (peer_asn,
 // peer_address) in the input, performs a blocking handshake, then
-// streams the records in order.
+// streams the records in order: each is encoded once, with its stamp
+// as an extra attribute, straight into its session's queue, and the
+// queues go out in bursts of one write per session.
 
 #pragma once
 
@@ -104,8 +106,8 @@ int wire_connect(const std::string& host, std::uint16_t port);
 
 /// Replays the records against a collector speaker at host:port, one
 /// session per distinct (peer_asn, peer_address). Blocking; returns
-/// when every record is on the wire and the sessions are closed with
-/// Cease/Administrative Shutdown.
+/// once every session has said Cease/Administrative Shutdown and the
+/// collector has closed it, the first-opened session last.
 BridgeStats replay_over_wire(std::span<const mrt::MrtRecord> records,
                              const std::string& host, std::uint16_t port,
                              const BridgeOptions& options = {});

@@ -405,13 +405,33 @@ std::vector<std::uint8_t> encode_keepalive() {
   return out;
 }
 
+namespace {
+
+WireError oversize_update(std::size_t size) {
+  return WireError(NotifyCode::kUpdateMessageError, kUpdMalformedAttributeList,
+                   "wire: UPDATE encodes to " + std::to_string(size) +
+                       " bytes (max 4096); split the routes");
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_update(const bgp::UpdateMessage& update) {
   auto wire = update.encode();
-  if (wire.size() > kMaxMessageSize)
-    throw WireError(NotifyCode::kUpdateMessageError, kUpdMalformedAttributeList,
-                    "wire: UPDATE encodes to " + std::to_string(wire.size()) +
-                        " bytes (max 4096); split the routes");
+  if (wire.size() > kMaxMessageSize) throw oversize_update(wire.size());
   return wire;
+}
+
+std::size_t encode_update_into(std::vector<std::uint8_t>& out,
+                               const bgp::UpdateMessage& update,
+                               std::span<const bgp::RawAttribute> extra) {
+  const std::size_t start = out.size();
+  update.encode_into(out, extra);
+  const std::size_t size = out.size() - start;
+  if (size > kMaxMessageSize) {
+    out.resize(start);
+    throw oversize_update(size);
+  }
+  return size;
 }
 
 bgp::UpdateMessage decode_update(std::span<const std::uint8_t> wire) {

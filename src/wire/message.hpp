@@ -204,6 +204,13 @@ std::vector<std::uint8_t> encode_keepalive();
 /// fit one message — callers split before encoding).
 std::vector<std::uint8_t> encode_update(const bgp::UpdateMessage& update);
 
+/// encode_update() appending to `out`, with `extra` attributes after
+/// the update's own (bgp::UpdateMessage::encode_into). Returns the
+/// message's size; on a throw `out` is left as it was.
+std::size_t encode_update_into(std::vector<std::uint8_t>& out,
+                               const bgp::UpdateMessage& update,
+                               std::span<const bgp::RawAttribute> extra = {});
+
 /// Decodes an UPDATE wire image, translating bgp codec DecodeErrors
 /// into WireError(kUpdateMessageError, kUpdMalformedAttributeList).
 bgp::UpdateMessage decode_update(std::span<const std::uint8_t> wire);

@@ -173,6 +173,26 @@ TEST(MrtCodec, RibRecordRejectsOriginAboveTwo) {
   EXPECT_THROW(decode_all(bytes), netbase::DecodeError);
 }
 
+TEST(MrtCodec, UpdateOverItsLengthFieldIsRefusedAndTheArchiveStaysDecodable) {
+  // 20,000 withdrawn /24s encode to 80,023 bytes, more than the BGP
+  // header's 16-bit length can state. Written anyway, the record would
+  // make decode_all reject the whole archive.
+  Bgp4mpMessage big = make_message();
+  big.update = UpdateMessage{};
+  for (std::uint32_t i = 0; i < 20000; ++i)
+    big.update.withdrawn.emplace_back(IpAddress::v4(0x0a000000 + (i << 8)), 24);
+  const std::vector<MrtRecord> archive = {make_message(), big};
+  EXPECT_THROW(encode_all(archive), netbase::DecodeError);
+
+  MrtWriter w;
+  w.write(make_message());
+  EXPECT_THROW(w.write(big), netbase::DecodeError);
+  w.write(make_message());
+  const auto records = decode_all(w.data());
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(std::get<Bgp4mpMessage>(records[1]), make_message());
+}
+
 TEST(MrtCodec, StreamOfMixedRecordsPreservesOrder) {
   MrtWriter w;
   auto m = make_message();

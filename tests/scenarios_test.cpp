@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+
+#include "mrt/codec.hpp"
 #include "scenarios/longlived2024.hpp"
 #include "scenarios/ris_replication.hpp"
 #include "zombie/interval_detector.hpp"
@@ -17,6 +21,16 @@ namespace {
 using netbase::kDay;
 using netbase::kMinute;
 using netbase::utc;
+
+/// FNV-1a-64 of an archive's MRT bytes: a pin on every byte of it.
+std::uint64_t archive_digest(std::span<const mrt::MrtRecord> records) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const std::uint8_t byte : mrt::encode_all(records)) {
+    hash ^= byte;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
 
 RisPeriodSpec short_ris_spec() {
   RisPeriodSpec spec = period_2018jul();
@@ -50,6 +64,9 @@ TEST(RisScenario, ProducesCoherentArchive) {
     if (msg != nullptr && msg->peer_asn == kNoisyRisPeerAsn) noisy_seen = true;
   }
   EXPECT_TRUE(noisy_seen);
+  // The archive's bytes, v4 and v6 UPDATEs alike, are pinned.
+  EXPECT_EQ(out.updates.size(), 55006u);
+  EXPECT_EQ(archive_digest(out.updates), 0xafb09b66fa85b65eull);
 }
 
 TEST(RisScenario, DetectorFindsZombiesAndDuplicates) {
@@ -102,6 +119,11 @@ TEST(LongLivedScenario, AnecdotePrefixesAreCorrect) {
   EXPECT_EQ(out.rrc25_noisy_routers.size(), 3u);
   EXPECT_GT(out.studied_announcements, 1600);
   EXPECT_LT(out.studied_announcements, 1760);
+  // The update and RIB archives' bytes are pinned.
+  EXPECT_EQ(out.updates.size(), 471299u);
+  EXPECT_EQ(archive_digest(out.updates), 0x9997171de123e230ull);
+  EXPECT_EQ(out.rib_dumps.size(), 9121u);
+  EXPECT_EQ(archive_digest(out.rib_dumps), 0x4fdfd8baf356b584ull);
 }
 
 TEST(LongLivedScenario, ImpactfulOutbreakDetectedWithRootCause) {

@@ -1,10 +1,12 @@
 // End-to-end tests for the BGP-4 wire subsystem over real loopback
 // sockets: session establishment with capability negotiation, the
 // malformed-input NOTIFICATION path, graceful-restart ghost retention,
-// and the flagship equivalence claim — replaying the longlived2024
-// archive over wire sessions through BgpFeedSource must produce the
-// EXACT (prefix, peer) zombie set the batch detector computes from the
-// same archive. The socket hop must be semantically invisible.
+// the bridge's burst writes message by message, the feed's reordering
+// of one replay stream after another, and the flagship equivalence
+// claim — replaying the longlived2024 archive over wire sessions
+// through BgpFeedSource must produce the EXACT (prefix, peer) zombie
+// set the batch detector computes from the same archive. The socket
+// hop must be semantically invisible.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -21,8 +25,12 @@
 #include <utility>
 #include <vector>
 
+#include "beacon/schedule.hpp"
 #include "live/bgp_feed.hpp"
 #include "live/service.hpp"
+#include "mrt/record.hpp"
+#include "netbase/reactor.hpp"
+#include "netbase/time.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "scenarios/longlived2024.hpp"
@@ -341,9 +349,340 @@ TEST(WireE2E, FailedDialIsRetriedAfterConnectRetry) {
   dial_thread.join();
 }
 
-// ------------------------------------------------- the equivalence run
+// ------------------------------------------------- bridge streams
 
 using PairSet = std::vector<std::pair<Prefix, PeerKey>>;
+
+/// A synthetic archive over three peers (two IPv4 sessions, one IPv6):
+/// `count` single-prefix announcements and withdrawals of both
+/// families, one state change a third of the way in and, two thirds of
+/// the way in, one UPDATE of 1,500 /24s, too big for one message.
+std::vector<mrt::MrtRecord> three_peer_archive(std::size_t count) {
+  const std::array<std::pair<bgp::Asn, IpAddress>, 3> peers = {
+      {{65101, IpAddress::parse("192.0.2.11")},
+       {65102, IpAddress::parse("2001:db8::12")},
+       {65103, IpAddress::parse("198.51.100.13")}}};
+  const netbase::TimePoint start = netbase::utc(2024, 6, 1);
+  std::vector<mrt::MrtRecord> records;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto& [asn, address] = peers[i % peers.size()];
+    const netbase::TimePoint t = start + static_cast<netbase::Duration>(i / 4);
+    mrt::Bgp4mpMessage m;
+    m.timestamp = t;
+    m.peer_asn = asn;
+    m.local_asn = 64999;
+    m.peer_address = address;
+    m.local_address = address;
+    std::array<std::uint8_t, 16> v6{0x2a, 0x0d, 0x3d, 0xc1};
+    v6[4] = static_cast<std::uint8_t>(i >> 8);
+    v6[5] = static_cast<std::uint8_t>(i);
+    const Prefix prefix =
+        i % 2 == 0 ? Prefix(IpAddress::v6(v6), 48)
+                   : Prefix(IpAddress::v4(static_cast<std::uint32_t>(0x0a000000 + ((i % 4096) << 8))),
+                            24);
+    if (i % 5 == 4) {
+      m.update.withdrawn.push_back(prefix);
+    } else {
+      m.update.announced.push_back(prefix);
+      m.update.attributes.as_path =
+          bgp::AsPath{asn, 3356, static_cast<bgp::Asn>(64500 + i % 7)};
+      m.update.attributes.next_hop =
+          prefix.is_v4() ? IpAddress::parse("192.0.2.1") : IpAddress::parse("2001:db8::1");
+      if (i % 3 == 0) m.update.attributes.communities = {{3356, 100}, {65535, 666}};
+    }
+    records.push_back(std::move(m));
+    if (i == count / 3) {
+      mrt::Bgp4mpStateChange change;
+      change.timestamp = t;
+      change.peer_asn = asn;
+      change.local_asn = 64999;
+      change.peer_address = address;
+      change.local_address = address;
+      change.old_state = bgp::SessionState::kEstablished;
+      change.new_state = bgp::SessionState::kIdle;
+      records.push_back(change);
+    }
+    if (i == 2 * count / 3) {
+      mrt::Bgp4mpMessage big;
+      big.timestamp = t;
+      big.peer_asn = asn;
+      big.local_asn = 64999;
+      big.peer_address = address;
+      big.local_address = address;
+      for (std::uint32_t k = 0; k < 1500; ++k)
+        big.update.announced.emplace_back(IpAddress::v4(0xac100000 + (k << 8)), 24);
+      big.update.attributes.as_path = bgp::AsPath{asn, 174};
+      big.update.attributes.next_hop = IpAddress::parse("192.0.2.1");
+      records.push_back(std::move(big));
+    }
+  }
+  return records;
+}
+
+TEST(WireE2E, BurstReplayDeliversEveryUpdateIntact) {
+  const std::vector<mrt::MrtRecord> records = three_peer_archive(6000);
+  ASSERT_EQ(std::count_if(records.begin(), records.end(),
+                          [](const mrt::MrtRecord& record) {
+                            const auto* m = std::get_if<mrt::Bgp4mpMessage>(&record);
+                            return m != nullptr && m->update.encode().size() > kMaxMessageSize;
+                          }),
+            1);
+
+  struct Delivered {
+    SessionRef ref;
+    BridgeStamp stamp;
+    bgp::UpdateMessage update;
+  };
+  std::mutex mutex;
+  std::vector<Delivered> delivered;
+  SpeakerThread harness(SpeakerConfig{});
+  harness.speaker.on_update([&](const SessionRef& ref, bgp::UpdateMessage&& update,
+                                std::chrono::steady_clock::time_point) {
+    const auto stamp = extract_stamp(update);
+    std::lock_guard<std::mutex> lock(mutex);
+    delivered.push_back({ref, stamp.value_or(BridgeStamp{0, ~0ull}), std::move(update)});
+  });
+  harness.start();
+
+  const BridgeStats stats = replay_over_wire(records, "127.0.0.1", harness.speaker.port());
+  EXPECT_EQ(stats.sessions, 3u);
+  EXPECT_EQ(stats.state_changes_sent, 1u);
+  EXPECT_EQ(stats.splits, 1u);
+  const std::size_t sent = stats.updates_sent + stats.state_changes_sent;
+  EXPECT_EQ(stats.messages_sent, sent + stats.sessions);  // and one Cease each
+  ASSERT_TRUE(wait_for([&] {
+    std::lock_guard<std::mutex> lock(mutex);
+    return delivered.size() >= sent;
+  }, 30000));
+  EXPECT_TRUE(wait_for([&] { return harness.speaker.snapshot().empty(); }));
+
+  // The stamps are exactly 0..N-1: nothing lost, nothing repeated.
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_EQ(delivered.size(), sent);
+  std::sort(delivered.begin(), delivered.end(), [](const Delivered& a, const Delivered& b) {
+    return a.stamp.sequence < b.stamp.sequence;
+  });
+  for (std::size_t i = 0; i < delivered.size(); ++i)
+    ASSERT_EQ(delivered[i].stamp.sequence, i);
+
+  // In stamp order, each delivered update is its archive update, on its
+  // peer's session, with its archive time. The oversize UPDATE arrives
+  // as wire-legal parts that add up to it.
+  std::size_t next = 0;
+  for (const mrt::MrtRecord& record : records) {
+    if (const auto* change = std::get_if<mrt::Bgp4mpStateChange>(&record)) {
+      Delivered& got = delivered[next++];
+      EXPECT_EQ(got.ref.peer_address, change->peer_address);
+      EXPECT_EQ(got.stamp.timestamp, change->timestamp);
+      EXPECT_EQ(extract_state(got.update),
+                std::make_pair(static_cast<std::uint16_t>(change->old_state),
+                               static_cast<std::uint16_t>(change->new_state)));
+      EXPECT_EQ(got.update, bgp::UpdateMessage{});
+      continue;
+    }
+    const auto& message = std::get<mrt::Bgp4mpMessage>(record);
+    bgp::UpdateMessage joined;
+    while (joined.announced.size() + joined.withdrawn.size() <
+           message.update.announced.size() + message.update.withdrawn.size()) {
+      ASSERT_LT(next, delivered.size());
+      const Delivered& got = delivered[next++];
+      EXPECT_EQ(got.ref.peer_asn, message.peer_asn);
+      EXPECT_EQ(got.ref.peer_address, message.peer_address);
+      EXPECT_EQ(got.stamp.timestamp, message.timestamp);
+      EXPECT_LE(got.update.encode().size(), kMaxMessageSize);
+      if (got.update.is_announcement()) joined.attributes = got.update.attributes;
+      joined.announced.insert(joined.announced.end(), got.update.announced.begin(),
+                              got.update.announced.end());
+      joined.withdrawn.insert(joined.withdrawn.end(), got.update.withdrawn.begin(),
+                              got.update.withdrawn.end());
+    }
+    EXPECT_EQ(joined, message.update);
+  }
+  EXPECT_EQ(next, delivered.size());
+}
+
+/// One bridge session of a hand-made stream: the handshake a replay
+/// does, stamped UPDATEs, then Cease.
+class BridgeClient {
+ public:
+  BridgeClient(std::uint16_t port, bgp::Asn asn, const IpAddress& address)
+      : fd_(wire_connect("127.0.0.1", port)) {
+    wire_handshake(fd_, asn, asn, 3600, address);
+  }
+  ~BridgeClient() { close(); }
+
+  void send(bgp::UpdateMessage update, netbase::TimePoint timestamp, std::uint64_t sequence) {
+    stamp_update(update, BridgeStamp{timestamp, sequence});
+    send_all(fd_, encode_update(update));
+  }
+
+  /// Says Cease and, as replay_over_wire does, reads until the speaker
+  /// closes: by then it has handled everything this session sent.
+  void close() {
+    if (fd_ < 0) return;
+    NotificationMessage goodbye;
+    goodbye.code = NotifyCode::kCease;
+    goodbye.subcode = kCeaseAdminShutdown;
+    send_all(fd_, goodbye.encode());
+    char buf[4096];
+    while (netbase::recv_some(fd_, buf, sizeof(buf)) > 0) {
+    }
+    ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_ = -1;
+};
+
+bgp::UpdateMessage announce(const Prefix& prefix, std::initializer_list<bgp::Asn> path) {
+  bgp::UpdateMessage update;
+  update.announced.push_back(prefix);
+  update.attributes.as_path = bgp::AsPath(path);
+  update.attributes.next_hop = IpAddress::parse("2001:db8::ff");
+  return update;
+}
+
+bgp::UpdateMessage withdraw(const Prefix& prefix) {
+  bgp::UpdateMessage update;
+  update.withdrawn.push_back(prefix);
+  return update;
+}
+
+/// A one-shard service behind a BgpFeedSource whose run() is on its
+/// own thread; stop() ends the run and returns its stats.
+struct FeedRig {
+  explicit FeedRig(netbase::Duration threshold)
+      : service([threshold] {
+          live::LiveConfig config;
+          config.shards = 1;
+          config.block_on_full = true;
+          config.detector.threshold = threshold;
+          return config;
+        }()),
+        feed(SpeakerConfig{}, /*port=*/0) {
+    service.start();
+  }
+  ~FeedRig() {
+    stop();
+    service.stop();
+  }
+
+  void start() {
+    thread = std::thread([this] { stats = feed.run(service); });
+  }
+  void stop() {
+    if (!thread.joinable()) return;
+    feed.stop();
+    thread.join();
+  }
+  bool sessions_gone() {
+    return wait_for([&] { return feed.speaker().snapshot().empty(); });
+  }
+  std::uint64_t updates_in(bgp::Asn asn) {
+    for (const SessionSnapshot& row : feed.speaker().snapshot())
+      if (row.peer_asn == asn) return row.updates_in;
+    return 0;
+  }
+
+  live::LiveService service;
+  live::BgpFeedSource feed;
+  live::FeedSource::RunStats stats;
+  std::thread thread;
+};
+
+TEST(WireE2E, SecondBridgeStreamIsReorderedFromSequenceZero) {
+  // Each stream: peer A (AS65001) announces the day's beacon prefix and
+  // withdraws it 60 s before the 90-minute deadline (stamps 0 and 1);
+  // peer B (AS65002) sends an update 60 s after the deadline (stamp 2),
+  // and sends it first. Reordered, A's withdrawal is in time and no
+  // zombie emerges. Submitted as it arrives, B's update passes the
+  // deadline before A has even announced, and A's late announcement
+  // then emerges as a zombie that batch detection does not report.
+  const netbase::Duration threshold = 90 * netbase::kMinute;
+  const IpAddress a_address = IpAddress::parse("2001:db8::a");
+  const IpAddress b_address = IpAddress::parse("2001:db8::b");
+  const Prefix other = Prefix::parse("2a0d:3dc1:ffff::/48");
+  std::vector<beacon::BeaconEvent> events;
+  std::vector<mrt::MrtRecord> archive;  // the same records, in stamp order
+  FeedRig rig(threshold);
+  for (int day = 0; day < 2; ++day) {
+    beacon::BeaconEvent event;
+    event.prefix = Prefix::parse(day == 0 ? "2a0d:3dc1:1000::/48" : "2a0d:3dc1:2000::/48");
+    event.announce_time = netbase::utc(2024, 6, 10 + day);
+    event.withdraw_time = event.announce_time + 2 * netbase::kHour;
+    events.push_back(event);
+    rig.service.expect(event);
+  }
+  rig.start();
+
+  const auto record = [](bgp::Asn asn, const IpAddress& address, netbase::TimePoint t,
+                         bgp::UpdateMessage update) {
+    mrt::Bgp4mpMessage m;
+    m.timestamp = t;
+    m.peer_asn = asn;
+    m.local_asn = SpeakerConfig{}.local_asn;
+    m.peer_address = address;
+    m.update = std::move(update);
+    return mrt::MrtRecord{std::move(m)};
+  };
+  for (const beacon::BeaconEvent& event : events) {
+    const netbase::TimePoint deadline = event.withdraw_time + threshold;
+    const std::vector<mrt::MrtRecord> stream = {
+        record(65001, a_address, event.announce_time + 60, announce(event.prefix, {65001, 210312})),
+        record(65001, a_address, deadline - 60, withdraw(event.prefix)),
+        record(65002, b_address, deadline + 60, announce(other, {65002, 64511}))};
+    archive.insert(archive.end(), stream.begin(), stream.end());
+    const auto& a0 = std::get<mrt::Bgp4mpMessage>(stream[0]);
+    const auto& a1 = std::get<mrt::Bgp4mpMessage>(stream[1]);
+    const auto& b2 = std::get<mrt::Bgp4mpMessage>(stream[2]);
+
+    BridgeClient b(rig.feed.port(), 65002, b_address);
+    b.send(b2.update, b2.timestamp, 2);
+    ASSERT_TRUE(wait_for([&] { return rig.updates_in(65002) == 1; }))
+        << "stamp 2 must reach the feed before stamps 0 and 1 are sent";
+    BridgeClient a(rig.feed.port(), 65001, a_address);
+    a.send(a0.update, a0.timestamp, 0);
+    a.send(a1.update, a1.timestamp, 1);
+    a.close();
+    b.close();
+    ASSERT_TRUE(rig.sessions_gone());
+  }
+  rig.stop();
+  EXPECT_EQ(rig.stats.records, 6u);
+
+  rig.service.finalize();
+  zombie::LongLivedZombieDetector detector{zombie::LongLivedConfig{}};
+  std::set<std::pair<Prefix, PeerKey>> batch;
+  for (const auto& outbreak : detector.detect(archive, events, threshold).outbreaks)
+    for (const auto& route : outbreak.routes) batch.insert({outbreak.prefix, route.peer});
+  EXPECT_TRUE(batch.empty());
+  const auto live_pairs = rig.service.emerged_pairs();
+  EXPECT_EQ(live_pairs, PairSet(batch.begin(), batch.end()))
+      << "the second stream was not reordered";
+}
+
+TEST(WireE2E, StreamMissingSequenceZeroIsSubmittedWhenItsSessionsClose) {
+  // A client that dies before stamp 0 is on the wire leaves a gap the
+  // feed cannot fill. Once the stream's last session is gone, its
+  // parked records go to the service, in stamp order, without waiting
+  // for the feed to stop.
+  FeedRig rig(90 * netbase::kMinute);
+  rig.start();
+  {
+    BridgeClient client(rig.feed.port(), 65001, IpAddress::parse("2001:db8::a"));
+    const netbase::TimePoint t = netbase::utc(2024, 6, 10);
+    client.send(announce(Prefix::parse("2a0d:3dc1:1000::/48"), {65001}), t, 1);
+    client.send(withdraw(Prefix::parse("2a0d:3dc1:1000::/48")), t + 60, 2);
+  }
+  ASSERT_TRUE(rig.sessions_gone());
+  EXPECT_TRUE(wait_for([&] { return rig.service.submitted() == 2; }))
+      << rig.service.submitted() << " of 2 parked records submitted before stop()";
+  rig.stop();
+  EXPECT_EQ(rig.stats.records, 2u);
+}
+
+// ------------------------------------------------- the equivalence run
 
 PairSet batch_pairs(const scenarios::LongLived2024Output& out,
                     netbase::Duration threshold) {

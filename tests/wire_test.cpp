@@ -179,6 +179,43 @@ TEST(WireCodec, SplitUpdateKeepsEveryRouteAndFitsTheWire) {
   EXPECT_EQ(withdrawn, update.withdrawn.size());
 }
 
+TEST(WireCodec, SplitUpdateHalvesPartsForALargeAttributeSet) {
+  // 900 communities (3.6 KB) leave room for fewer than 128 /24s a
+  // message: the parts halve to 64 prefixes instead of failing.
+  bgp::UpdateMessage update;
+  update.attributes.as_path = bgp::AsPath{65001, 64511};
+  update.attributes.next_hop = IpAddress::parse("192.0.2.1");
+  for (std::uint16_t i = 0; i < 900; ++i) update.attributes.communities.push_back({65001, i});
+  for (std::uint32_t i = 0; i < 300; ++i)
+    update.announced.emplace_back(IpAddress::v4((10u << 24) | (i << 8)), 24);
+  const auto parts = split_update(update);
+  ASSERT_EQ(parts.size(), 5u);
+  std::vector<Prefix> announced;
+  for (const auto& part : parts) {
+    EXPECT_LE(encode_update(part).size(), kMaxMessageSize);
+    EXPECT_EQ(part.attributes, update.attributes);
+    announced.insert(announced.end(), part.announced.begin(), part.announced.end());
+  }
+  EXPECT_EQ(parts[0].announced.size(), 64u);
+  EXPECT_EQ(announced, update.announced);
+}
+
+TEST(WireCodec, SplitUpdateSplitsAMessageOverItsLengthField) {
+  // 20,000 withdrawn /24s are too long for one message's length field,
+  // so the fit check's encode throws; the split still goes ahead.
+  bgp::UpdateMessage update;
+  for (std::uint32_t i = 0; i < 20000; ++i)
+    update.withdrawn.emplace_back(IpAddress::v4((10u << 24) | (i << 8)), 24);
+  const auto parts = split_update(update);
+  ASSERT_EQ(parts.size(), (20000u + 127) / 128);
+  std::vector<Prefix> withdrawn;
+  for (const auto& part : parts) {
+    EXPECT_LE(encode_update(part).size(), kMaxMessageSize);
+    withdrawn.insert(withdrawn.end(), part.withdrawn.begin(), part.withdrawn.end());
+  }
+  EXPECT_EQ(withdrawn, update.withdrawn);
+}
+
 TEST(WireCodec, SplitUpdateLeavesSmallMessagesAlone) {
   bgp::UpdateMessage update;
   update.withdrawn.push_back(Prefix::parse("198.51.100.0/24"));
