@@ -27,7 +27,7 @@ void print_ablation() {
                       "IMC'25 paper §3.1 (the case for raw-data-only detection)");
   g_out = bench::load_ris_period(0);
   zombie::IntervalZombieDetector raw({});
-  g_raw = raw.detect(g_out.updates, g_out.events);
+  g_raw = raw.detect(g_out.updates, g_out.events, 90 * netbase::kMinute);
 
   std::vector<std::vector<std::string>> rows;
   for (int lag_minutes : {0, 2, 4, 8, 16, 30}) {

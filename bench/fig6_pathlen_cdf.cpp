@@ -28,10 +28,10 @@ void print_figure() {
   std::vector<zombie::IntervalDetectionResult> results;
   for (int which = 0; which < 3; ++which) {
     auto out = bench::load_ris_period(which);
-    zombie::IntervalDetectorConfig config;
+    zombie::LongLivedConfig config;
     for (const auto& peer : out.noisy_peers) config.excluded_peers.insert(peer);
     zombie::IntervalZombieDetector detector(config);
-    results.push_back(detector.detect(out.updates, out.events));
+    results.push_back(detector.detect(out.updates, out.events, 90 * netbase::kMinute));
     if (which == 0) g_result = results.back();
   }
 

@@ -27,10 +27,10 @@ void print_figure() {
   std::vector<zombie::IntervalDetectionResult> results;
   for (int which = 0; which < 3; ++which) {
     auto out = bench::load_ris_period(which);
-    zombie::IntervalDetectorConfig config;
+    zombie::LongLivedConfig config;
     for (const auto& peer : out.noisy_peers) config.excluded_peers.insert(peer);
     zombie::IntervalZombieDetector detector(config);
-    results.push_back(detector.detect(out.updates, out.events));
+    results.push_back(detector.detect(out.updates, out.events, 90 * netbase::kMinute));
   }
 
   const int beacons_v4 = 13, beacons_v6 = 14;

@@ -35,10 +35,10 @@ void print_table() {
     const auto spec = bench::ris_spec(which);
     auto out = bench::load_ris_period(which);
 
-    zombie::IntervalDetectorConfig config;
+    zombie::LongLivedConfig config;
     for (const auto& peer : out.noisy_peers) config.excluded_peers.insert(peer);
     zombie::IntervalZombieDetector detector(config);
-    const auto result = detector.detect(out.updates, out.events);
+    const auto result = detector.detect(out.updates, out.events, 90 * netbase::kMinute);
 
     int dc_v4 = 0, dc_v6 = 0, nd_v4 = 0, nd_v6 = 0;
     for (const auto& o : result.outbreaks_with_duplicates) (o.prefix.is_v4() ? dc_v4 : dc_v6)++;
@@ -73,7 +73,7 @@ void BM_IntervalDetector2018(benchmark::State& state) {
   const auto& out = g_outputs[0];
   zombie::IntervalZombieDetector detector({});
   for (auto _ : state) {
-    auto result = detector.detect(out.updates, out.events);
+    auto result = detector.detect(out.updates, out.events, 90 * netbase::kMinute);
     benchmark::DoNotOptimize(result.outbreaks_with_duplicates.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -37,10 +37,10 @@ void print_table() {
     const auto spec = bench::ris_spec(which);
     auto out = bench::load_ris_period(which);
 
-    zombie::IntervalDetectorConfig config;
+    zombie::LongLivedConfig config;
     for (const auto& peer : out.noisy_peers) config.excluded_peers.insert(peer);
     zombie::IntervalZombieDetector raw(config);
-    const auto raw_result = raw.detect(out.updates, out.events);
+    const auto raw_result = raw.detect(out.updates, out.events, 90 * netbase::kMinute);
 
     // The previous study had no dedup; its real-time looking glass
     // adds delay artifacts. For a like-for-like comparison both

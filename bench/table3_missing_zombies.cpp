@@ -32,7 +32,7 @@ void print_table() {
     // For this comparison the noisy peer stays in (the paper counts
     // "including the ones from the noisy peer").
     zombie::IntervalZombieDetector raw({});
-    const auto raw_result = raw.detect(out.updates, out.events);
+    const auto raw_result = raw.detect(out.updates, out.events, 90 * netbase::kMinute);
     zombie::LookingGlassDetector study{zombie::LookingGlassConfig{}};
     const auto study_result = study.detect(out.updates, out.events);
 

@@ -45,7 +45,7 @@ void print_table() {
   g_out = bench::load_ris_period(0);  // 2018 period hosts the analysis
 
   zombie::IntervalZombieDetector detector({});  // noisy peer included on purpose
-  g_result = detector.detect(g_out.updates, g_out.events);
+  g_result = detector.detect(g_out.updates, g_out.events, 90 * netbase::kMinute);
 
   std::vector<std::vector<std::string>> rows;
   for (bool dedup : {false, true}) {

@@ -78,7 +78,7 @@ int main() {
   std::vector<beacon::BeaconEvent> events{
       {beacon, t0, t0 + 15 * netbase::kMinute, false}};
   zombie::IntervalZombieDetector detector({});
-  const auto result = detector.detect(archive, events);
+  const auto result = detector.detect(archive, events, 90 * netbase::kMinute);
 
   std::printf("\n--- detection (threshold 90 min) ---\n");
   if (result.outbreaks_with_duplicates.empty()) {

@@ -61,7 +61,7 @@ int main() {
 
   const auto archive = scenarios::through_mrt_codec(rrc.updates());
   zombie::IntervalZombieDetector detector({});
-  const auto result = detector.detect(archive, driver.ground_truth());
+  const auto result = detector.detect(archive, driver.ground_truth(), 90 * netbase::kMinute);
 
   std::printf("archived records: %zu | visible <beacon, interval> pairs: %d\n\n",
               archive.size(), result.visible_prefixes);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <tuple>
 
 namespace zombiescope::zombie {
 
@@ -20,25 +22,15 @@ std::vector<EmergenceRate> emergence_rates(const IntervalDetectionResult& result
     }
   }
   // Numerators: distinct ⟨beacon, interval, peerAS⟩ zombie hits (a
-  // peer AS with two stuck routers still counts once per interval).
-  std::map<std::tuple<netbase::Prefix, netbase::TimePoint, bgp::Asn>, bool> hits;
+  // peer AS with two stuck routers still counts once per interval). A
+  // stuck route is an announcement inside its interval, so its peer AS
+  // is among the interval's announcing ASes.
+  std::set<std::tuple<netbase::Prefix, netbase::TimePoint, bgp::Asn>> hits;
   for (const auto& route : result.routes) {
     if (route.prefix.family() != family) continue;
     if (deduplicated && route.duplicate) continue;
-    hits[{route.prefix, route.interval_start, route.peer.asn}] = true;
-  }
-  for (const auto& [key, flag] : hits) {
-    (void)flag;
-    auto it = rates.find({std::get<0>(key), std::get<2>(key)});
-    if (it == rates.end()) {
-      EmergenceRate& r = rates[{std::get<0>(key), std::get<2>(key)}];
-      r.beacon = std::get<0>(key);
-      r.peer_asn = std::get<2>(key);
-      r.announcements = 1;  // seen only as a zombie
-      r.zombies = 1;
-    } else {
-      ++it->second.zombies;
-    }
+    if (hits.insert({route.prefix, route.interval_start, route.peer.asn}).second)
+      ++rates.at({route.prefix, route.peer.asn}).zombies;
   }
   std::vector<EmergenceRate> out;
   out.reserve(rates.size());

@@ -1,37 +1,29 @@
 // zombie/interval_detector.hpp — the paper's §3 replication
 // methodology for RIPE RIS beacons.
 //
-// Messages are divided into 4-hour intervals starting at the beacon
-// announcement times; each interval is processed independently with
-// no prior routing state. A beacon is a zombie at a peer if, at
-// withdraw_time + threshold, the last in-interval update for it is an
+// Each beacon announcement opens an interval that is processed with no
+// prior routing state. A beacon is a zombie at a peer if, at
+// withdraw_time + threshold, the peer's last update inside the window
+// [announce, min(next announcement of the prefix, withdraw + T)] is an
 // announcement. The *revised* methodology additionally decodes the
 // Aggregator IP clock of the stuck announcement: if it predates this
 // interval's announcement, the zombie belongs to a previous interval
 // and is a duplicate (double-counting elimination). Noisy peers can
-// be excluded.
+// be excluded. §5 asks the same question, and one pass over the
+// records answers both (beacon_fold.cpp).
 
 #pragma once
 
-#include <set>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "beacon/schedule.hpp"
 #include "mrt/record.hpp"
-#include "zombie/state.hpp"
+#include "zombie/longlived.hpp"
 #include "zombie/types.hpp"
 
 namespace zombiescope::zombie {
-
-struct IntervalDetectorConfig {
-  /// Stuck threshold after the withdrawal (the paper: 90 minutes).
-  netbase::Duration threshold = 90 * netbase::kMinute;
-  /// Peer sessions to ignore entirely (noisy peers).
-  std::set<PeerKey> excluded_peers;
-  /// Exclude whole peer ASes (the paper excludes AS16347).
-  std::set<bgp::Asn> excluded_peer_asns;
-};
 
 struct IntervalDetectionResult {
   /// Every stuck route found, including duplicates (flagged).
@@ -44,11 +36,11 @@ struct IntervalDetectionResult {
   /// "#visible prefixes").
   int visible_prefixes = 0;
   /// Per ⟨beacon, interval⟩ peer-AS visibility, for emergence rates:
-  /// pairs (prefix, interval_start, set of peer ASNs that announced).
+  /// pairs (prefix, interval_start, peer ASNs that announced).
   struct Visibility {
     netbase::Prefix prefix;
     netbase::TimePoint interval_start;
-    std::set<bgp::Asn> announcing_asns;
+    std::vector<bgp::Asn> announcing_asns;  // sorted, distinct
   };
   std::vector<Visibility> visibility;
 
@@ -69,24 +61,18 @@ struct IntervalDetectionResult {
 
 class IntervalZombieDetector {
  public:
-  explicit IntervalZombieDetector(IntervalDetectorConfig config) : config_(config) {}
+  explicit IntervalZombieDetector(LongLivedConfig config) : config_(std::move(config)) {}
 
-  /// Runs detection over a time-sorted record stream for the given
-  /// beacon events (from RisBeaconSchedule::events).
+  /// Runs detection at `threshold` after each beacon's withdrawal (the
+  /// paper: 90 minutes) over a time-sorted record stream for the given
+  /// beacon events (from RisBeaconSchedule::events). Every list comes
+  /// in event order, and routes within an event in PeerKey order.
   IntervalDetectionResult detect(std::span<const mrt::MrtRecord> records,
-                                 std::span<const beacon::BeaconEvent> events) const;
+                                 std::span<const beacon::BeaconEvent> events,
+                                 netbase::Duration threshold) const;
 
  private:
-  bool peer_excluded(const PeerKey& peer) const {
-    return config_.excluded_peers.contains(peer) ||
-           config_.excluded_peer_asns.contains(peer.asn);
-  }
-
-  IntervalDetectorConfig config_;
+  LongLivedConfig config_;
 };
-
-/// Convenience filters over outbreak lists.
-std::vector<ZombieOutbreak> filter_family(std::span<const ZombieOutbreak> outbreaks,
-                                          netbase::AddressFamily family);
 
 }  // namespace zombiescope::zombie

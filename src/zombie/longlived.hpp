@@ -11,8 +11,6 @@
 
 #pragma once
 
-#include <map>
-#include <optional>
 #include <set>
 #include <span>
 #include <vector>
@@ -23,12 +21,12 @@
 
 namespace zombiescope::zombie {
 
+/// Detection settings shared by the §3, §5 and RIB-dump passes. Beacon
+/// events flagged superseded are always skipped (approach-2 collision
+/// rule: "we study only the latter prefix").
 struct LongLivedConfig {
+  /// Peer sessions to ignore entirely (noisy peers).
   std::set<PeerKey> excluded_peers;
-  std::set<bgp::Asn> excluded_peer_asns;
-  /// Skip beacon events flagged superseded (approach-2 collision rule:
-  /// "we study only the latter prefix").
-  bool skip_superseded = true;
 };
 
 /// Result of one detection pass at a fixed threshold.
@@ -70,14 +68,13 @@ class LongLivedZombieDetector {
   /// and repeated thresholds are fine; none gives none). Each point
   /// equals detect() at its threshold, and the journal gets the events
   /// that calling detect() once per threshold would emit, in that
-  /// order. One pass over `records` answers every threshold.
+  /// order. One pass over `records` (beacon_fold.cpp) answers every
+  /// threshold.
   std::vector<SweepPoint> sweep(std::span<const mrt::MrtRecord> records,
                                 std::span<const beacon::BeaconEvent> events,
                                 std::span<const netbase::Duration> thresholds) const;
 
  private:
-  class Fold;  // the one pass both calls share (longlived.cpp)
-
   LongLivedConfig config_;
 };
 
@@ -129,11 +126,6 @@ class LifespanAnalyzer {
                                         netbase::Duration dump_interval) const;
 
  private:
-  bool peer_excluded(const PeerKey& peer) const {
-    return config_.excluded_peers.contains(peer) ||
-           config_.excluded_peer_asns.contains(peer.asn);
-  }
-
   LongLivedConfig config_;
 };
 

@@ -59,13 +59,6 @@ std::set<PeerKey> NoisyPeerFilter::noisy_peer_keys(std::span<const ZombieRoute> 
   return out;
 }
 
-double NoisyPeerFilter::mean_probability(std::span<const PeerStats> stats) {
-  if (stats.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& s : stats) sum += s.probability();
-  return sum / static_cast<double>(stats.size());
-}
-
 double NoisyPeerFilter::median_probability(std::span<const PeerStats> stats) {
   if (stats.empty()) return 0.0;
   std::vector<double> values;

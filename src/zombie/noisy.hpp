@@ -55,8 +55,7 @@ class NoisyPeerFilter {
                                     std::span<const PeerKey> peers,
                                     int total_announcements) const;
 
-  /// Mean/median stuck probability of the given peers (Table 4).
-  static double mean_probability(std::span<const PeerStats> stats);
+  /// Median stuck probability of the given peers (Table 4).
   static double median_probability(std::span<const PeerStats> stats);
 
  private:

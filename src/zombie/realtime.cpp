@@ -117,7 +117,7 @@ void RealTimeZombieDetector::ingest(const mrt::MrtRecord& record) {
 
   if (const auto* msg = std::get_if<mrt::Bgp4mpMessage>(&record)) {
     const PeerKey peer{msg->peer_asn, msg->peer_address};
-    if (excluded(peer)) return;
+    if (config_.excluded_peers.contains(peer)) return;
     const netbase::TimePoint t = msg->timestamp;
     for (const auto& prefix : msg->update.withdrawn) {
       auto it = watches_.find(prefix);

@@ -47,7 +47,6 @@ struct ZombieResolution {
 struct RealTimeConfig {
   netbase::Duration threshold = 90 * netbase::kMinute;
   std::set<PeerKey> excluded_peers;
-  std::set<bgp::Asn> excluded_peer_asns;
 };
 
 /// Online detector. Usage:
@@ -112,10 +111,6 @@ class RealTimeZombieDetector {
     bool deadline_fired = false;
   };
 
-  bool excluded(const PeerKey& peer) const {
-    return config_.excluded_peers.contains(peer) ||
-           config_.excluded_peer_asns.contains(peer.asn);
-  }
   netbase::TimePoint deadline(const Watch& watch) const {
     return watch.event.withdraw_time + config_.threshold;
   }

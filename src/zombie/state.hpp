@@ -49,10 +49,6 @@ class StateTracker {
   /// All peer sessions seen so far (present or not).
   std::vector<PeerKey> peers() const;
 
-  /// Forgets everything (used for the paper's per-interval processing,
-  /// which starts every interval with no prior knowledge).
-  void reset() { state_.clear(); }
-
  private:
   std::map<PeerKey, std::map<netbase::Prefix, RouteStatus>> state_;
   mrt::PeerIndexTable last_index_;

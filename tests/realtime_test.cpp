@@ -245,7 +245,7 @@ TEST(RealTime, ReannouncedAlertedRouteUpdatesStuckPath) {
 
 TEST(RealTime, ExcludedPeersNeverAlert) {
   RealTimeConfig config;
-  config.excluded_peer_asns.insert(peer_a().asn);
+  config.excluded_peers.insert(peer_a());
   Harness h(config);
   const auto t0 = utc(2024, 6, 4, 12, 0, 0);
   h.detector.expect(event_at(t0));

@@ -145,10 +145,8 @@ int run(const Options& opt) {
     for (const auto& record : updates) tracker.apply(record);
     std::vector<zombie::ZombieRoute> routes;
     if (opt.schedule == "ris") {
-      zombie::IntervalDetectorConfig pass_config;
-      pass_config.threshold = opt.threshold;
-      zombie::IntervalZombieDetector pass_detector(pass_config);
-      const auto pass = pass_detector.detect(updates, events);
+      zombie::IntervalZombieDetector pass_detector{zombie::LongLivedConfig{}};
+      const auto pass = pass_detector.detect(updates, events, opt.threshold);
       for (const auto& route : pass.routes)
         if (!route.duplicate) routes.push_back(route);
       studied_announcements = static_cast<int>(events.size());
@@ -178,59 +176,43 @@ int run(const Options& opt) {
 
   zombie::LongLivedConfig config;
   config.excluded_peers = excluded;
-  zombie::LongLivedZombieDetector detector{config};
-  // Under the ris schedule the interval methodology below is what gets
-  // reported; mask this long-lived pass out of the journal there too.
-  if (opt.schedule == "ris")
-    journal.set_enabled_categories(journal_mask & ~obs::kCatDetector);
-  auto result = detector.detect(updates, events, opt.threshold);
-  journal.set_enabled_categories(journal_mask);
-
-  if (journal.enabled(obs::kCatRun)) {
+  const auto run_meta = [&](std::int64_t studied) {
+    if (!journal.enabled(obs::kCatRun)) return;
     obs::JournalEvent meta;
     meta.type = obs::JournalEventType::kRunMeta;
     meta.time = opt.start;
-    meta.a = opt.schedule == "ris" ? static_cast<std::int64_t>(events.size())
-                                   : result.total_announcements;
+    meta.a = studied;
     meta.b = opt.threshold;
     meta.c = opt.end;
     journal.emit<obs::kCatRun>(meta);
-  }
+  };
 
-  // Aggregator-clock dedup (meaningful for RIS-style beacons): run the
-  // interval methodology when requested.
+  // One detector pass answers the report: the interval methodology,
+  // with its Aggregator-clock dedup, for RIS-style beacons; the
+  // long-lived one otherwise.
+  std::vector<zombie::ZombieOutbreak> outbreaks;
   if (opt.schedule == "ris") {
-    zombie::IntervalDetectorConfig interval_config;
-    interval_config.threshold = opt.threshold;
-    interval_config.excluded_peers = excluded;
-    zombie::IntervalZombieDetector interval_detector(interval_config);
-    const auto interval_result = interval_detector.detect(updates, events);
-    const auto& outbreaks = opt.dedup ? interval_result.outbreaks_deduplicated
-                                      : interval_result.outbreaks_with_duplicates;
+    run_meta(static_cast<std::int64_t>(events.size()));
+    auto result = zombie::IntervalZombieDetector{config}.detect(updates, events, opt.threshold);
+    outbreaks = std::move(opt.dedup ? result.outbreaks_deduplicated
+                                    : result.outbreaks_with_duplicates);
     std::printf("== %zu zombie outbreak(s) (%s double-counting), %d visible <beacon,interval>\n",
-                outbreaks.size(), opt.dedup ? "without" : "with",
-                interval_result.visible_prefixes);
-    int shown = 0;
-    for (const auto& outbreak : outbreaks) {
-      if (++shown > opt.max_outbreaks) {
-        std::printf("... (%zu more)\n", outbreaks.size() - static_cast<std::size_t>(shown - 1));
-        break;
-      }
-      print_outbreak(outbreak, opt.root_cause);
-    }
+                outbreaks.size(), opt.dedup ? "without" : "with", result.visible_prefixes);
   } else {
+    auto result = zombie::LongLivedZombieDetector{config}.detect(updates, events, opt.threshold);
+    run_meta(result.total_announcements);
     std::printf("== %zu zombie outbreak(s) out of %d studied announcements (%.2f%%)\n",
                 result.outbreaks.size(), result.total_announcements,
                 100.0 * result.outbreak_fraction());
-    int shown = 0;
-    for (const auto& outbreak : result.outbreaks) {
-      if (++shown > opt.max_outbreaks) {
-        std::printf("... (%zu more)\n",
-                    result.outbreaks.size() - static_cast<std::size_t>(shown - 1));
-        break;
-      }
-      print_outbreak(outbreak, opt.root_cause);
+    outbreaks = std::move(result.outbreaks);
+  }
+  int shown = 0;
+  for (const auto& outbreak : outbreaks) {
+    if (++shown > opt.max_outbreaks) {
+      std::printf("... (%zu more)\n", outbreaks.size() - static_cast<std::size_t>(shown - 1));
+      break;
     }
+    print_outbreak(outbreak, opt.root_cause);
   }
 
   // Optional lifespan report from RIB dumps.
