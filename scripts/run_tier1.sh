@@ -9,20 +9,24 @@
 # journal codec, the HTTP server, and the NDJSON feed parse external
 # bytes; the zsprof stack walk reads raw stack memory). The ASan+UBSan
 # leg also runs the MRT codec and its fuzz suites (truncated and
-# bit-flipped archives), the batch long-lived detector, whose fold
-# keeps raw pointers into the caller's records, and the codec suites
-# under them: the byte reader's inline bounds checks, prefixes, and the
-# AS path's shared, reference-counted block through the UPDATE codec
-# and its round trips. It also encodes a whole simulated v4+v6 archive
+# bit-flipped archives), the batch long-lived and interval detectors,
+# whose one fold keeps raw pointers into the caller's records that the
+# interval read dereferences, and the codec suites under them: the
+# byte reader's inline bounds checks, prefixes, and the AS path's
+# shared, reference-counted block through the UPDATE codec and its
+# round trips. It also encodes a whole simulated v4+v6 archive
 # (RisScenario.ProducesCoherentArchive, which pins its bytes), so the
 # one-pass UPDATE encoder's in-place writes and back-patched lengths
-# run over every message shape the simulator makes. These are
+# run over every message shape the simulator makes, and reads that
+# archive's pinned interval result
+# (RisScenario.DetectorFindsZombiesAndDuplicates). These are
 # single-threaded, so the TSan leg skips them. Both legs run the JSON
 # reader's suite (RIS-Live NDJSON is network input), and the UBSan leg
 # adds -fsanitize=float-cast-overflow (see CMakeLists.txt). Both legs
 # run the socket reactor's suite and the WireE2E socket tests (the BGP
 # speaker, the bridge's burst writes, the feed's ticket reorder heap
-# and its stream restart, over real loopback sessions); WireE2EReplay
+# and its stream restart, which counts a bridge session from its OPEN,
+# over real loopback sessions); WireE2EReplay
 # is excluded there because its longlived2024 set-up alone takes
 # minutes under TSan (the plain build runs it). Each sanitizer leg ends
 # with a 30-second zslived tap-demo soak under concurrent curl clients,
@@ -332,7 +336,7 @@ cmake --build "${ASAN_DIR}" -j --target ${OBS_TARGETS} ${ASAN_ONLY_TARGETS}
 # Parameterized suites are named Seeds/CodecFuzz.*, so CodecFuzz and
 # UpdateRoundTrip are unanchored.
 ctest --test-dir "${ASAN_DIR}" --output-on-failure \
-  -R '^Obs|^Json|^Reactor|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.|^AsPath|^UpdateCodec|UpdateRoundTrip|^Bytes\.|^Prefix|^RisScenario\.ProducesCoherentArchive$' \
+  -R '^Obs|^Json|^Reactor|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.|^IntervalDetector\.|^AsPath|^UpdateCodec|UpdateRoundTrip|^Bytes\.|^Prefix|^RisScenario\.ProducesCoherentArchive$|^RisScenario\.DetectorFindsZombiesAndDuplicates$' \
   -E '^WireE2EReplay'
 soak_zslived "${ASAN_DIR}" "asan"
 soak_bgp "${ASAN_DIR}" "asan"

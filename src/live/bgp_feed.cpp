@@ -69,14 +69,13 @@ void BgpFeedSource::release_top(LiveService& service, RunStats& stats) {
   service.submit(std::move(parked_[slot]));
 }
 
-void BgpFeedSource::bridge_state(LiveService& service, bgp::SessionState old_state,
-                                 bgp::SessionState new_state, RunStats& stats) {
-  if (new_state == bgp::SessionState::kEstablished) {
+void BgpFeedSource::bridge_state(LiveService& service, bgp::SessionState new_state,
+                                 RunStats& stats) {
+  if (new_state == bgp::SessionState::kOpenConfirm) {
     ++bridge_sessions_;
     return;
   }
-  if (old_state != bgp::SessionState::kEstablished || bridge_sessions_ == 0 ||
-      --bridge_sessions_ > 0)
+  if (new_state != bgp::SessionState::kIdle || bridge_sessions_ == 0 || --bridge_sessions_ > 0)
     return;
   while (!tickets_.empty()) release_top(service, stats);
   parked_.clear();
@@ -126,7 +125,7 @@ FeedSource::RunStats BgpFeedSource::run(LiveService& service) {
     // detector (the RIB kept the routes — that is the zombie being
     // manufactured).
     if (ref.bridged) {
-      bridge_state(service, old_state, new_state, stats);
+      bridge_state(service, new_state, stats);
       return;
     }
     if (retained) return;

@@ -16,11 +16,12 @@
 //     records in the same order as ReplayFeedSource, and therefore the
 //     same zombie set (tests/wire_e2e_test.cpp). A bridge session's
 //     own socket lifecycle is NOT a routing event and is suppressed,
-//     but it bounds a stream: a replay keeps a bridge session
-//     established from its first record to its last, so when the last
-//     one ends the feed submits whatever is still parked (a stream
-//     that lost records) and the next replay's sequence starts again
-//     at 0. Replays run one after another, not at once.
+//     but it bounds a stream: the feed counts each bridge session from
+//     the OPEN that marks it bridged until it closes, and a replay
+//     keeps one open from its first record to its last, so when the
+//     last one closes the feed submits whatever is still parked (a
+//     stream that lost records) and the next replay's sequence starts
+//     again at 0. Replays run one after another, not at once.
 //   * A real peer dropping with graceful restart negotiated is
 //     reported with retained=true: the feed suppresses the state
 //     change, because the collector's RIB did not flush — this is the
@@ -82,11 +83,11 @@ class BgpFeedSource : public FeedSource {
                        std::optional<std::uint64_t> sequence, RunStats& stats);
   /// Submits the lowest-sequence parked record.
   void release_top(LiveService& service, RunStats& stats);
-  /// Counts bridge sessions up and down. When the last one ends, its
-  /// stream is over: every parked record is submitted in sequence
-  /// order, and the next stream starts again at sequence 0.
-  void bridge_state(LiveService& service, bgp::SessionState old_state,
-                    bgp::SessionState new_state, RunStats& stats);
+  /// Counts bridge sessions up at their OPEN and down at their close.
+  /// When the last one closes, its stream is over: every parked record
+  /// is submitted in sequence order, and the next stream starts again
+  /// at sequence 0.
+  void bridge_state(LiveService& service, bgp::SessionState new_state, RunStats& stats);
 
   wire::SpeakerConfig config_;
   wire::BgpSpeaker speaker_;
@@ -94,7 +95,7 @@ class BgpFeedSource : public FeedSource {
   std::vector<std::uint64_t> free_slots_;
   std::vector<Ticket> tickets_;          // a min-heap on (sequence, slot)
   std::uint64_t next_sequence_ = 0;
-  std::size_t bridge_sessions_ = 0;      // established bridge sessions
+  std::size_t bridge_sessions_ = 0;      // open bridge sessions
 };
 
 }  // namespace zombiescope::live

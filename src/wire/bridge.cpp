@@ -319,33 +319,23 @@ BridgeStats replay_over_wire(std::span<const mrt::MrtRecord> records,
 
   // Cease on every session, then read until the collector closes it,
   // so nothing is left unread (closing on unread input resets the
-  // connection, which can discard output not yet delivered). The first
-  // session says Cease last, once every other is closed: a collector
-  // that ends a replay stream when its last bridge session ends
-  // (live::BgpFeedSource) must not see that while a later session,
-  // whose handshake it may not have finished, still has records.
+  // connection, which can discard output not yet delivered).
   NotificationMessage goodbye;
   goodbye.code = NotifyCode::kCease;
   goodbye.subcode = kCeaseAdminShutdown;
   const auto goodbye_wire = goodbye.encode();
-  const auto say_goodbye = [&](const Session& session) {
+  for (const Session& session : sessions) {
     try {
       send_message(session.fd, goodbye_wire);
       stats.bytes_sent += goodbye_wire.size();
       ++stats.messages_sent;
     } catch (const std::runtime_error&) {
     }
-  };
-  const auto await_close = [](const Session& session) {
+  }
+  for (const Session& session : sessions) {
     char buf[4096];
     while (netbase::recv_some(session.fd, buf, sizeof(buf)) > 0) {
     }
-  };
-  for (std::size_t i = 1; i < sessions.size(); ++i) say_goodbye(sessions[i]);
-  for (std::size_t i = 1; i < sessions.size(); ++i) await_close(sessions[i]);
-  if (!sessions.empty()) {
-    say_goodbye(sessions.front());
-    await_close(sessions.front());
   }
   return stats;
 }

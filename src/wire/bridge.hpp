@@ -107,7 +107,7 @@ int wire_connect(const std::string& host, std::uint16_t port);
 /// Replays the records against a collector speaker at host:port, one
 /// session per distinct (peer_asn, peer_address). Blocking; returns
 /// once every session has said Cease/Administrative Shutdown and the
-/// collector has closed it, the first-opened session last.
+/// collector has closed it.
 BridgeStats replay_over_wire(std::span<const mrt::MrtRecord> records,
                              const std::string& host, std::uint16_t port,
                              const BridgeOptions& options = {});

@@ -113,6 +113,7 @@ struct BgpSpeaker::Session {
   bgp::SessionFsm fsm;
   bgp::FsmState prev_state = bgp::FsmState::kIdle;
   bool was_established = false;
+  bool bridge_opened = false;  // a bridge session reported at its OPEN
 
   FrameReader reader;
 
@@ -491,6 +492,13 @@ void BgpSpeaker::sync_fsm_state(Session& session, netbase::TimePoint now) {
   journal_session_event(obs::JournalEventType::kWireSessionState, ref_of(session),
                         static_cast<std::int64_t>(old_state),
                         static_cast<std::int64_t>(new_state));
+  if (new_state == bgp::FsmState::kOpenConfirm && session.bridged && !session.bridge_opened) {
+    // A bridge client may send records as soon as it has read our
+    // KEEPALIVE, before we read its own: it is reported from its OPEN.
+    session.bridge_opened = true;
+    if (on_state_)
+      on_state_(ref_of(session), mrt_state(old_state), mrt_state(new_state), false);
+  }
   if (new_state == bgp::FsmState::kEstablished) {
     session.was_established = true;
     session.last_event = "established";
@@ -585,7 +593,12 @@ void BgpSpeaker::teardown(Session& session, const std::string& reason,
           now + std::max<netbase::Duration>(config_.connect_retry, 1);
     }
   }
-  if (!session.was_established) return;
+  if (!session.was_established) {
+    if (session.bridge_opened && on_state_)
+      on_state_(ref_of(session), bgp::SessionState::kOpenConfirm, bgp::SessionState::kIdle,
+                false);
+    return;
+  }
   session.was_established = false;
 
   const SessionRef ref = ref_of(session);

@@ -102,8 +102,11 @@ class BgpSpeaker : private netbase::Reactor::Handler {
   using UpdateHandler =
       std::function<void(const SessionRef&, bgp::UpdateMessage&&,
                          std::chrono::steady_clock::time_point ingest)>;
-  /// retained: the session dropped but GR kept its routes — the
-  /// collector's RIB did NOT flush (the zombie-manufacturing case).
+  /// Reports a session established and its close. A bridge session
+  /// (capability 240) is reported from its OPEN on, as OpenConfirm,
+  /// and its close in whatever state it closes. retained: the session
+  /// dropped but GR kept its routes — the collector's RIB did NOT
+  /// flush (the zombie-manufacturing case).
   using StateHandler =
       std::function<void(const SessionRef&, bgp::SessionState old_state,
                          bgp::SessionState new_state, bool retained)>;

@@ -682,6 +682,80 @@ TEST(WireE2E, StreamMissingSequenceZeroIsSubmittedWhenItsSessionsClose) {
   EXPECT_EQ(rig.stats.records, 2u);
 }
 
+TEST(WireE2E, BridgeSessionCountsFromItsOpen) {
+  // Session A sends its OPEN and reads the speaker's OPEN and KEEPALIVE
+  // but holds back its own KEEPALIVE. Session B handshakes, sends stamp
+  // 1 (an update past the deadline) and closes. A is open, so the
+  // stream is not over and stamp 1 must wait. Then A sends its
+  // KEEPALIVE and stamp 0, its announcement of the beacon. Submitted in
+  // stamp order, the announcement holds the route when stamp 1 fires
+  // the deadline, and the zombie is raised at the deadline. Stamp 1
+  // first would fire the deadline with no route held, and the late
+  // announcement would raise the zombie at its own time.
+  const netbase::Duration threshold = 90 * netbase::kMinute;
+  const IpAddress a_address = IpAddress::parse("2001:db8::a");
+  beacon::BeaconEvent event;
+  event.prefix = Prefix::parse("2a0d:3dc1:1000::/48");
+  event.announce_time = netbase::utc(2024, 6, 10);
+  event.withdraw_time = event.announce_time + 2 * netbase::kHour;
+  const netbase::TimePoint deadline = event.withdraw_time + threshold;
+  FeedRig rig(threshold);
+  rig.service.expect(event);
+  rig.start();
+
+  const int a = wire_connect("127.0.0.1", rig.feed.port());
+  OpenMessage open;
+  open.asn = 65001;
+  open.hold_time = 3600;
+  open.bgp_id = 65001;
+  open.cap_four_octet_asn = true;
+  open.multiprotocol = {{1, 1}, {2, 1}};
+  open.bridge_peer_address = a_address;
+  send_all(a, open.encode());
+  FrameReader reader;
+  bool saw_open = false;
+  bool saw_keepalive = false;
+  char buf[4096];
+  while (!saw_open || !saw_keepalive) {
+    const std::ptrdiff_t n = netbase::recv_some(a, buf, sizeof(buf));
+    ASSERT_GT(n, 0) << "the speaker closed session A during its handshake";
+    reader.append(reinterpret_cast<const std::uint8_t*>(buf), static_cast<std::size_t>(n));
+    while (auto frame = reader.next()) {
+      const bgp::MessageType type = decode_header(*frame).type;
+      saw_open = saw_open || type == bgp::MessageType::kOpen;
+      saw_keepalive = saw_keepalive || type == bgp::MessageType::kKeepalive;
+    }
+  }
+
+  {
+    BridgeClient b(rig.feed.port(), 65002, IpAddress::parse("2001:db8::b"));
+    b.send(announce(Prefix::parse("2a0d:3dc1:ffff::/48"), {65002, 64511}), deadline + 60, 1);
+    b.close();
+  }
+
+  send_all(a, encode_keepalive());
+  bgp::UpdateMessage update = announce(event.prefix, {65001, 210312});
+  stamp_update(update, BridgeStamp{event.announce_time + 60, 0});
+  send_all(a, encode_update(update));
+  NotificationMessage goodbye;
+  goodbye.code = NotifyCode::kCease;
+  goodbye.subcode = kCeaseAdminShutdown;
+  send_all(a, goodbye.encode());
+  while (netbase::recv_some(a, buf, sizeof(buf)) > 0) {
+  }
+  ::close(a);
+  ASSERT_TRUE(rig.sessions_gone());
+  rig.stop();
+  EXPECT_EQ(rig.stats.records, 2u);
+
+  rig.service.finalize();
+  const auto zombies = rig.service.zombies();
+  ASSERT_EQ(zombies.size(), 1u);
+  EXPECT_EQ(zombies[0].alert.prefix, event.prefix);
+  EXPECT_EQ(zombies[0].alert.peer.address, a_address);
+  EXPECT_EQ(zombies[0].alert.raised_at, deadline) << "stamp 1 was submitted before stamp 0";
+}
+
 // ------------------------------------------------- the equivalence run
 
 PairSet batch_pairs(const scenarios::LongLived2024Output& out,
