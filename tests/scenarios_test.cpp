@@ -19,6 +19,7 @@
 #include "zombie/analyzer.hpp"
 #include "zombie/interval_detector.hpp"
 #include "zombie/longlived.hpp"
+#include "zombie/lookingglass.hpp"
 #include "zombie/noisy.hpp"
 #include "zombie/rootcause.hpp"
 
@@ -187,6 +188,39 @@ IntervalPin pin_of(const zombie::IntervalDetectionResult& result) {
   return pin;
 }
 
+/// What the looking-glass emulation (Tables 2-3) reports over one
+/// archive: counts and a digest over every route and outbreak in
+/// output order. The digest is not sorted: the stale-snapshot draws
+/// follow that order, so a reordering must fail the pin.
+struct LookingGlassPin {
+  std::size_t routes = 0;
+  std::size_t outbreaks = 0;
+  std::uint64_t digest = 0;
+  friend bool operator==(const LookingGlassPin&, const LookingGlassPin&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const LookingGlassPin& pin) {
+  return os << "{" << pin.routes << ", " << pin.outbreaks << ", 0x" << std::hex << pin.digest
+            << "ull" << std::dec << "}";
+}
+
+LookingGlassPin pin_of(const zombie::LookingGlassResult& result) {
+  const auto render = [](const zombie::ZombieRoute& route) {
+    return route.prefix.to_string() + " " + std::to_string(route.interval_start) + " " +
+           std::to_string(route.withdraw_time) + " " + zombie::to_string(route.peer) + " [" +
+           route.path.to_string() + "]";
+  };
+  std::string text;
+  for (const auto& route : result.routes) text += "route " + render(route) + "\n";
+  for (const auto& outbreak : result.outbreaks) {
+    text += "outbreak " + outbreak.prefix.to_string() + " " +
+            std::to_string(outbreak.interval_start) + " " +
+            std::to_string(outbreak.withdraw_time) + "\n";
+    for (const auto& route : outbreak.routes) text += "  " + render(route) + "\n";
+  }
+  return {result.routes.size(), result.outbreaks.size(), fnv1a(text)};
+}
+
 TEST(RisScenario, DetectorFindsZombiesAndDuplicates) {
   const auto out = run_ris_period(short_ris_spec());
   zombie::IntervalZombieDetector detector({});
@@ -214,6 +248,19 @@ TEST(RisScenario, DetectorFindsZombiesAndDuplicates) {
       zombie::IntervalZombieDetector(clean).detect(out.updates, out.events, 90 * kMinute);
   EXPECT_EQ(pin_of(filtered), (IntervalPin{1983, 404, 146, 810, 11050, 0x2dd7475cff2eec3bull,
                                            0x67d5d05dc63df155ull}));
+
+  // The looking-glass emulation of the previous study: by default, and
+  // with half of the peers' snapshots stale at the default lag and at
+  // no lag, where more of the stale draws decide a route.
+  EXPECT_EQ(pin_of(zombie::LookingGlassDetector({}).detect(out.updates, out.events)),
+            (LookingGlassPin{2159, 467, 0xa511a2bbd4bddb02ull}));
+  zombie::LookingGlassConfig stale;
+  stale.stale_snapshot_probability = 0.5;
+  EXPECT_EQ(pin_of(zombie::LookingGlassDetector(stale).detect(out.updates, out.events)),
+            (LookingGlassPin{2159, 467, 0xa511a2bbd4bddb02ull}));
+  stale.lag = 0;
+  EXPECT_EQ(pin_of(zombie::LookingGlassDetector(stale).detect(out.updates, out.events)),
+            (LookingGlassPin{2160, 469, 0x776becc2b1d96224ull}));
 }
 
 TEST(RisScenario, NoisyPeerHasOutlierProbability) {

@@ -800,6 +800,33 @@ TEST(LookingGlass, LagCreatesFalseNegative) {
   EXPECT_EQ(raw.detect(records, events, 90 * kMinute).outbreaks_with_duplicates.size(), 1u);
 }
 
+TEST(LookingGlass, SessionDropInsideTheLagIsStillServed) {
+  // The peer's session goes down before the 90-minute poll and takes
+  // the route with it. A drop 5 minutes before the poll is inside the
+  // looking glass's lag (8 min), so it still serves the route: a
+  // zombie the raw methodology does not report. A drop 20 minutes
+  // before is past the lag, so neither reports one.
+  const auto day = utc(2018, 7, 19);
+  const auto events = two_intervals(kV4Beacon, day);
+  const TimePoint poll = day + 2 * kHour + 90 * kMinute;
+  LookingGlassConfig config;
+  config.stale_snapshot_probability = 0.0;  // isolate the lag
+  const LookingGlassDetector lg(config);
+  const IntervalZombieDetector raw({});
+  for (const auto& [before, lg_outbreaks] :
+       {std::pair{5 * kMinute, 1u}, std::pair{20 * kMinute, 0u}}) {
+    SCOPED_TRACE(before / kMinute);
+    const std::vector<mrt::MrtRecord> records{
+        announce(day + 30, peer_a(), kV4Beacon, {64500, 12654}, day),
+        session_drop(poll - before, peer_a()),
+    };
+    const auto lg_result = lg.detect(records, events);
+    EXPECT_EQ(lg_result.outbreaks.size(), lg_outbreaks);
+    EXPECT_EQ(lg_result.routes.size(), lg_outbreaks);
+    EXPECT_TRUE(raw.detect(records, events, 90 * kMinute).outbreaks_with_duplicates.empty());
+  }
+}
+
 TEST(LookingGlass, MissingCountsBothDirections) {
   const auto day = utc(2018, 7, 19);
   std::vector<mrt::MrtRecord> records{
