@@ -1,140 +1,16 @@
 #include "zombie/lookingglass.hpp"
 
-#include <algorithm>
-#include <map>
 #include <set>
 #include <tuple>
 
 namespace zombiescope::zombie {
 
-namespace {
-
-using netbase::TimePoint;
-
-struct Snapshot {
-  bool announced = false;
-  bgp::AsPath path;
-};
-
-}  // namespace
-
-LookingGlassResult LookingGlassDetector::detect(
-    std::span<const mrt::MrtRecord> records,
-    std::span<const beacon::BeaconEvent> events) const {
-  LookingGlassResult result;
-  netbase::Rng rng(config_.seed);
-
-  std::vector<beacon::BeaconEvent> sorted(events.begin(), events.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.announce_time < b.announce_time; });
-
-  // For each event, the looking glass is polled at withdraw+threshold;
-  // the state it serves reflects messages up to poll - peer_lag, where
-  // peer_lag is the ordinary lag or (with small probability) a stale
-  // snapshot. Per-interval processing from scratch, like the original.
-  std::size_t cursor = 0;
-  std::vector<std::size_t> group_start;  // indices where announce time changes
-  for (std::size_t i = 0; i < sorted.size(); ++i)
-    if (i == 0 || sorted[i].announce_time != sorted[i - 1].announce_time)
-      group_start.push_back(i);
-
-  for (std::size_t g = 0; g < group_start.size(); ++g) {
-    const std::size_t begin = group_start[g];
-    const std::size_t end = g + 1 < group_start.size() ? group_start[g + 1] : sorted.size();
-    const TimePoint interval_start = sorted[begin].announce_time;
-
-    std::map<netbase::Prefix, const beacon::BeaconEvent*> beacon_of;
-    TimePoint max_poll = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      beacon_of[sorted[i].prefix] = &sorted[i];
-      max_poll = std::max(max_poll, sorted[i].withdraw_time + config_.threshold);
-    }
-
-    while (cursor < records.size() &&
-           mrt::record_timestamp(records[cursor]) < interval_start)
-      ++cursor;
-
-    // Per (prefix, peer): the message history inside the interval, so
-    // the lagged state can be evaluated per peer glitch draw.
-    struct History {
-      std::vector<std::tuple<TimePoint, bool, bgp::AsPath>> msgs;  // (t, announced, path)
-    };
-    std::map<netbase::Prefix, std::map<PeerKey, History>> table;
-
-    std::size_t scan = cursor;
-    while (scan < records.size()) {
-      const auto& record = records[scan];
-      const TimePoint t = mrt::record_timestamp(record);
-      if (t > max_poll) break;
-      ++scan;
-      if (const auto* msg = std::get_if<mrt::Bgp4mpMessage>(&record)) {
-        const PeerKey peer{msg->peer_asn, msg->peer_address};
-        for (const auto& prefix : msg->update.withdrawn) {
-          if (beacon_of.contains(prefix))
-            table[prefix][peer].msgs.emplace_back(t, false, bgp::AsPath{});
-        }
-        for (const auto& prefix : msg->update.announced) {
-          if (beacon_of.contains(prefix))
-            table[prefix][peer].msgs.emplace_back(t, true, msg->update.attributes.as_path);
-        }
-      } else if (const auto* state = std::get_if<mrt::Bgp4mpStateChange>(&record)) {
-        if (state->old_state == bgp::SessionState::kEstablished &&
-            state->new_state != bgp::SessionState::kEstablished) {
-          const PeerKey peer{state->peer_asn, state->peer_address};
-          for (auto& [prefix, peers] : table) {
-            (void)prefix;
-            auto it = peers.find(peer);
-            if (it != peers.end()) it->second.msgs.emplace_back(t, false, bgp::AsPath{});
-          }
-        }
-      }
-    }
-    cursor = scan;
-
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& event = sorted[i];
-      auto table_it = table.find(event.prefix);
-      if (table_it == table.end()) continue;
-      const TimePoint poll = event.withdraw_time + config_.threshold;
-
-      ZombieOutbreak outbreak;
-      outbreak.prefix = event.prefix;
-      outbreak.interval_start = interval_start;
-      outbreak.withdraw_time = event.withdraw_time;
-
-      for (const auto& [peer, history] : table_it->second) {
-        const netbase::Duration lag = rng.chance(config_.stale_snapshot_probability)
-                                          ? config_.stale_lag
-                                          : config_.lag;
-        const TimePoint visible_until = poll - lag;
-        Snapshot snapshot;
-        for (const auto& [t, announced, path] : history.msgs) {
-          if (t > visible_until) break;
-          snapshot.announced = announced;
-          snapshot.path = path;
-        }
-        if (!snapshot.announced) continue;
-        ZombieRoute route;
-        route.peer = peer;
-        route.prefix = event.prefix;
-        route.interval_start = interval_start;
-        route.withdraw_time = event.withdraw_time;
-        route.path = snapshot.path;
-        outbreak.routes.push_back(route);
-        result.routes.push_back(std::move(route));
-      }
-      if (!outbreak.routes.empty()) result.outbreaks.push_back(std::move(outbreak));
-    }
-  }
-  return result;
-}
-
 MissingCounts count_missing(std::span<const ZombieRoute> ours,
                             std::span<const ZombieOutbreak> our_outbreaks,
                             std::span<const ZombieRoute> theirs,
                             std::span<const ZombieOutbreak> their_outbreaks) {
-  using RouteKey = std::tuple<netbase::Prefix, TimePoint, PeerKey>;
-  using OutbreakKey = std::pair<netbase::Prefix, TimePoint>;
+  using RouteKey = std::tuple<netbase::Prefix, netbase::TimePoint, PeerKey>;
+  using OutbreakKey = std::pair<netbase::Prefix, netbase::TimePoint>;
   std::set<RouteKey> their_routes;
   for (const auto& r : theirs) their_routes.insert({r.prefix, r.interval_start, r.peer});
   std::set<OutbreakKey> their_breaks;
