@@ -9,16 +9,17 @@
 # journal codec, the HTTP server, and the NDJSON feed parse external
 # bytes; the zsprof stack walk reads raw stack memory). The ASan+UBSan
 # leg also runs the MRT codec and its fuzz suites (truncated and
-# bit-flipped archives), the batch long-lived and interval detectors,
-# whose one fold keeps raw pointers into the caller's records that the
-# interval read dereferences, and the codec suites under them: the
+# bit-flipped archives), the batch long-lived, interval and
+# looking-glass detectors, whose one fold keeps raw pointers into the
+# caller's records that the interval and looking-glass reads
+# dereference, and the codec suites under them: the
 # byte reader's inline bounds checks, prefixes, and the AS path's
 # shared, reference-counted block through the UPDATE codec and its
 # round trips. It also encodes a whole simulated v4+v6 archive
 # (RisScenario.ProducesCoherentArchive, which pins its bytes), so the
 # one-pass UPDATE encoder's in-place writes and back-patched lengths
 # run over every message shape the simulator makes, and reads that
-# archive's pinned interval result
+# archive's pinned interval and looking-glass results
 # (RisScenario.DetectorFindsZombiesAndDuplicates). These are
 # single-threaded, so the TSan leg skips them. Both legs run the JSON
 # reader's suite (RIS-Live NDJSON is network input), and the UBSan leg
@@ -336,7 +337,7 @@ cmake --build "${ASAN_DIR}" -j --target ${OBS_TARGETS} ${ASAN_ONLY_TARGETS}
 # Parameterized suites are named Seeds/CodecFuzz.*, so CodecFuzz and
 # UpdateRoundTrip are unanchored.
 ctest --test-dir "${ASAN_DIR}" --output-on-failure \
-  -R '^Obs|^Json|^Reactor|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.|^IntervalDetector\.|^AsPath|^UpdateCodec|UpdateRoundTrip|^Bytes\.|^Prefix|^RisScenario\.ProducesCoherentArchive$|^RisScenario\.DetectorFindsZombiesAndDuplicates$' \
+  -R '^Obs|^Json|^Reactor|^Wire|^RealTime|MrtCodec|MrtRoundTrip|CodecFuzz|^LongLived\.|^Lifespan\.|^IntervalDetector\.|^LookingGlass\.|^AsPath|^UpdateCodec|UpdateRoundTrip|^Bytes\.|^Prefix|^RisScenario\.ProducesCoherentArchive$|^RisScenario\.DetectorFindsZombiesAndDuplicates$' \
   -E '^WireE2EReplay'
 soak_zslived "${ASAN_DIR}" "asan"
 soak_bgp "${ASAN_DIR}" "asan"
