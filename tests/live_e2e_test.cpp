@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,6 +31,16 @@ using netbase::TimePoint;
 using zombie::PeerKey;
 
 using PairSet = std::vector<std::pair<Prefix, PeerKey>>;
+
+/// FNV-1a-64 of a string.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char c : text) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
 
 /// The batch reference: every (prefix, peer) the LongLivedZombieDetector
 /// reports stuck at withdrawal + threshold, deduplicated across
@@ -199,7 +211,10 @@ TEST_F(LiveE2E, NoisyPeerSetMatchesBatchFilterExactly) {
 
 TEST_F(LiveE2E, PeerTableCountsMatchBatchStats) {
   // Beyond set equality, per-peer numerators must agree with the batch
-  // PeerStats: stuck == zombie_routes for every tracked peer.
+  // PeerStats: stuck == zombie_routes for every tracked peer. The
+  // digest of the whole /peers body pins every row's counters, its
+  // probability, Wilson bounds and flags, the closed-cycle total and
+  // the median.
   const netbase::Duration threshold = 90 * netbase::kMinute;
 
   zombie::StateTracker tracker;
@@ -233,6 +248,8 @@ TEST_F(LiveE2E, PeerTableCountsMatchBatchStats) {
     EXPECT_EQ(row->stuck, static_cast<std::uint64_t>(ps.zombie_routes))
         << zombie::to_string(ps.peer);
   }
+  EXPECT_EQ(table->rows.size(), 46u);
+  EXPECT_EQ(fnv1a(peer_table_json(*table, 0, false)), 0x03228316ef7e9103ull);
   service.stop();
 }
 
