@@ -5,14 +5,16 @@
 //     longlived2024 archive replayed at max speed through 4 shards
 //     with config.peerq.enabled off vs on. This is the number the
 //     acceptance bound cares about: the accumulator rides the shard
-//     worker hot path (one on_record per update, cycle bookkeeping on
-//     advance, a throttled snapshot at publish), and the pair pins
-//     its end-to-end cost under the <5% check_bench_regression.sh
-//     gate alongside the other live benches.
+//     worker hot path (one on_record per update, one on_window_close
+//     per beacon window the detector closes, a throttled snapshot at
+//     publish), and the pair pins its end-to-end cost under the <5%
+//     check_bench_regression.sh gate alongside the other live benches.
 //   * BM_PeerQOnRecord / BM_PeerQCycleClose: micro cost of the two
 //     accumulator operations the worker pays per record and per
 //     closed beacon cycle — stable single-thread numbers for
 //     trajectory diffing when the replay A/B is too noisy.
+//   * BM_PeerQArchiveReplay: the archive through one detector with
+//     the accumulator attached, as a shard worker runs them.
 //
 // The replay prints a one-line overhead summary (on vs off wall rate)
 // and asserts the invariants that make the comparison meaningful:
@@ -29,6 +31,7 @@
 #include "live/peerq.hpp"
 #include "live/service.hpp"
 #include "obs/metrics.hpp"
+#include "zombie/realtime.hpp"
 
 using namespace zombiescope;
 
@@ -184,17 +187,11 @@ mrt::MrtRecord synthetic_update(std::uint32_t i) {
 }
 
 void BM_PeerQOnRecord(benchmark::State& state) {
-  // Steady-state per-record cost: cells exist, one open cycle matches
-  // the announced prefix (the common case during a beacon window).
+  // Steady-state per-record cost with the cells already resident.
   std::vector<mrt::MrtRecord> records;
   records.reserve(4096);
   for (std::uint32_t i = 0; i < 4096; ++i) records.push_back(synthetic_update(i));
   live::PeerQAccumulator acc;
-  beacon::BeaconEvent event;
-  event.prefix = netbase::Prefix::parse("93.175.147.0/24");
-  event.announce_time = 1'700'000'000;
-  event.withdraw_time = 1'700'000'000 + 7200;
-  acc.on_expect(event, 90 * netbase::kMinute);
   std::size_t i = 0;
   for (auto _ : state) {
     acc.on_record(records[i]);
@@ -206,27 +203,33 @@ void BM_PeerQOnRecord(benchmark::State& state) {
 BENCHMARK(BM_PeerQOnRecord);
 
 void BM_PeerQArchiveReplay(benchmark::State& state) {
-  // The accumulator alone over the real longlived2024 archive — the
-  // exact per-record work the shard workers add with peerq on, minus
-  // every other pipeline cost. items/s here bounds the wall overhead.
+  // The real longlived2024 archive through one detector with the
+  // accumulator attached, as a shard worker runs them (beacon events
+  // released in stream order), minus queues and publishing.
   const auto data = bench::load_longlived2024();
   std::vector<beacon::BeaconEvent> events = data.events;
   std::sort(events.begin(), events.end(),
             [](const beacon::BeaconEvent& a, const beacon::BeaconEvent& b) {
               return a.announce_time < b.announce_time;
             });
+  const zombie::RealTimeConfig config;
   for (auto _ : state) {
+    zombie::RealTimeZombieDetector detector(config);
     live::PeerQAccumulator acc;
+    detector.on_alert([&](const zombie::ZombieAlert& alert) {
+      if (alert.raised_at == alert.withdrawn_at + config.threshold) acc.on_stuck(alert);
+    });
+    detector.on_window_close(
+        [&](const zombie::WindowPeers& window) { acc.on_window_close(window); });
     std::size_t next_event = 0;
     for (const auto& record : data.updates) {
       const netbase::TimePoint t = mrt::record_timestamp(record);
-      while (next_event < events.size() &&
-             events[next_event].announce_time <= t) {
-        acc.advance(events[next_event].announce_time);
-        acc.on_expect(events[next_event], 90 * netbase::kMinute);
-        ++next_event;
+      for (; next_event < events.size() && events[next_event].announce_time <= t;
+           ++next_event) {
+        detector.advance(events[next_event].announce_time - 1);
+        detector.expect(events[next_event]);
       }
-      acc.advance(t);
+      detector.ingest(record);
       acc.on_record(record);
     }
     benchmark::DoNotOptimize(acc.cycles_closed());
@@ -237,20 +240,20 @@ void BM_PeerQArchiveReplay(benchmark::State& state) {
 BENCHMARK(BM_PeerQArchiveReplay)->Unit(benchmark::kMillisecond);
 
 void BM_PeerQCycleClose(benchmark::State& state) {
-  // Cost of one cycle open + close with 64 resident peers — paid once
-  // per beacon event, not per record.
+  // Cost of one window close over 64 resident peers, every one of
+  // them in the window and half of them withdrawn — paid once per
+  // beacon event, not per record.
   live::PeerQAccumulator acc;
-  for (std::uint32_t i = 0; i < 64; ++i) acc.on_record(synthetic_update(i));
-  beacon::BeaconEvent event;
-  event.prefix = netbase::Prefix::parse("93.175.147.0/24");
-  std::int64_t t = 1'700'000'000;
-  for (auto _ : state) {
-    event.announce_time = t;
-    event.withdraw_time = t + 7200;
-    acc.on_expect(event, 90 * netbase::kMinute);
-    t += 14400;
-    acc.advance(event.withdraw_time + 90 * netbase::kMinute + 1);
+  zombie::WindowPeers window;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    const mrt::MrtRecord record = synthetic_update(i);
+    acc.on_record(record);
+    const auto& msg = std::get<mrt::Bgp4mpMessage>(record);
+    zombie::WindowPeer& peer = window[{msg.peer_asn, msg.peer_address}];
+    peer.ann_seen = true;
+    peer.wd_seen = i % 2 == 0;
   }
+  for (auto _ : state) acc.on_window_close(window);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   benchmark::DoNotOptimize(acc.cycles_closed());
 }

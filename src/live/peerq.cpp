@@ -23,26 +23,10 @@ WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
   return out;
 }
 
-namespace {
-
-bool test_bit(const std::vector<std::uint64_t>& bits, std::uint32_t i) {
-  return (i >> 6) < bits.size() && ((bits[i >> 6] >> (i & 63)) & 1) != 0;
-}
-
-void set_bit(std::vector<std::uint64_t>& bits, std::uint32_t i) {
-  if ((i >> 6) >= bits.size()) bits.resize((i >> 6) + 1, 0);
-  bits[i >> 6] |= 1ull << (i & 63);
-}
-
-}  // namespace
-
 PeerCell& PeerQAccumulator::cell(const zombie::PeerKey& peer) {
   if (last_cell_ != nullptr && last_peer_ == peer) return *last_cell_;
   auto [it, inserted] = cells_.try_emplace(peer);
-  if (inserted) {
-    it->second.index = static_cast<std::uint32_t>(cells_.size() - 1);
-    publish_due_ = true;
-  }
+  if (inserted) publish_due_ = true;
   last_peer_ = peer;
   last_cell_ = &it->second;
   return it->second;
@@ -53,37 +37,11 @@ void PeerQAccumulator::on_record(const mrt::MrtRecord& record) {
     // Any BGP4MP message creates the peer, even a prefix-less one —
     // StateTracker::apply does the same, and the classifier's median
     // runs over that exact universe.
-    const zombie::PeerKey peer{msg->peer_asn, msg->peer_address};
-    PeerCell& c = cell(peer);
+    PeerCell& c = cell({msg->peer_asn, msg->peer_address});
     ++c.updates;
     c.announcements += msg->update.announced.size();
     c.withdrawals += msg->update.withdrawn.size();
     c.last_seen = std::max(c.last_seen, msg->timestamp);
-    if (by_prefix_.empty()) return;  // no window open anywhere
-    for (const auto& prefix : msg->update.announced) {
-      const std::uint8_t b = prefix.address().bytes()[0];
-      if ((first_byte_filter_[b >> 6] & (1ull << (b & 63))) == 0) continue;
-      for (const auto& [open_prefix, cycles] : by_prefix_) {
-        if (open_prefix != prefix) continue;
-        for (OpenCycle* cycle : cycles) set_bit(cycle->ann_bits, c.index);
-        break;
-      }
-    }
-    for (const auto& prefix : msg->update.withdrawn) {
-      const std::uint8_t b = prefix.address().bytes()[0];
-      if ((first_byte_filter_[b >> 6] & (1ull << (b & 63))) == 0) continue;
-      for (const auto& [open_prefix, cycles] : by_prefix_) {
-        if (open_prefix != prefix) continue;
-        for (OpenCycle* cycle : cycles) {
-          // The withdrawal phase of a cycle starts at its scheduled
-          // withdraw time; an earlier withdrawal belongs to a previous
-          // cycle's window.
-          if (msg->timestamp >= cycle->withdraw_time)
-            set_bit(cycle->wd_bits, c.index);
-        }
-        break;
-      }
-    }
   } else if (const auto* change = std::get_if<mrt::Bgp4mpStateChange>(&record)) {
     // Never creates a peer (StateTracker's rule); resets count only
     // for peers already in the universe.
@@ -106,71 +64,26 @@ void PeerQAccumulator::on_record(const mrt::MrtRecord& record) {
   }
 }
 
-void PeerQAccumulator::on_expect(const beacon::BeaconEvent& event,
-                                 netbase::Duration threshold) {
-  if (event.superseded) return;
-  const std::uint32_t id = next_cycle_++;
-  OpenCycle cycle;
-  cycle.prefix = event.prefix;
-  cycle.withdraw_time = event.withdraw_time;
-  cycle.deadline = event.withdraw_time + threshold;
-  auto slot = std::find_if(by_prefix_.begin(), by_prefix_.end(),
-                           [&](const auto& e) { return e.first == event.prefix; });
-  if (slot == by_prefix_.end()) {
-    by_prefix_.emplace_back(event.prefix, std::vector<OpenCycle*>{});
-    slot = std::prev(by_prefix_.end());
-    rebuild_filter();
-  }
-  due_.emplace(cycle.deadline, id);
-  auto [it, inserted] = open_.emplace(id, std::move(cycle));
-  slot->second.push_back(&it->second);
-}
-
 void PeerQAccumulator::on_stuck(const zombie::ZombieAlert& alert) {
   ++cell(alert.peer).stuck;
   publish_due_ = true;
 }
 
-void PeerQAccumulator::advance(netbase::TimePoint now) {
-  while (!due_.empty() && due_.top().first < now) {
-    const std::uint32_t id = due_.top().second;
-    due_.pop();
-    auto it = open_.find(id);
-    if (it == open_.end()) continue;
-    close_cycle(it->second);
-    auto by = std::find_if(
-        by_prefix_.begin(), by_prefix_.end(),
-        [&](const auto& e) { return e.first == it->second.prefix; });
-    if (by != by_prefix_.end()) {
-      std::erase(by->second, &it->second);
-      if (by->second.empty()) {
-        by_prefix_.erase(by);
-        rebuild_filter();
-      }
-    }
-    open_.erase(it);
-  }
-}
-
-void PeerQAccumulator::rebuild_filter() {
-  first_byte_filter_ = {};
-  for (const auto& [prefix, ids] : by_prefix_) {
-    const std::uint8_t b = prefix.address().bytes()[0];
-    first_byte_filter_[b >> 6] |= 1ull << (b & 63);
-  }
-}
-
-void PeerQAccumulator::close_cycle(const OpenCycle& cycle) {
+void PeerQAccumulator::on_window_close(const zombie::WindowPeers& window) {
   ++cycles_closed_;
-  for (auto& entry : cells_) {
-    PeerCell& c = entry.second;
-    if (test_bit(cycle.ann_bits, c.index)) {
+  // Both maps are in PeerKey order: one merge walk. A window peer has
+  // a cell already, made by the update that put it in the window.
+  auto w = window.begin();
+  for (auto& [peer, c] : cells_) {
+    while (w != window.end() && w->first < peer) ++w;
+    const bool in = w != window.end() && w->first == peer;
+    if (in && w->second.ann_seen) {
       ++c.ann_seen;
       c.miss_streak = 0;
     } else {
       ++c.miss_streak;
     }
-    if (test_bit(cycle.wd_bits, c.index)) ++c.wd_seen;
+    if (in && w->second.wd_seen) ++c.wd_seen;
   }
   publish_due_ = true;
 }

@@ -13,8 +13,10 @@
 //
 //   PeerQAccumulator      per-shard, worker-private rolling counters
 //                         updated on the hot path (update/withdrawal
-//                         counts, beacon-cycle visibility, last-seen
-//                         stream time, session resets, stuck routes).
+//                         counts, last-seen stream time, session
+//                         resets, stuck routes) and at each beacon
+//                         window close the shard's detector reports
+//                         (seen/missed cycles, miss streaks).
 //                         Snapshotted into an immutable
 //                         PeerQShardSnapshot at publish time.
 //   merge + PeerTable     the service merges shard snapshots into one
@@ -42,9 +44,11 @@
 //                         (tests/live_e2e_test.cpp pins this).
 //
 // Equivalence accounting (why the live numbers equal batch):
-//   * denominator: every non-superseded beacon event delivered to a
-//     shard opens one cycle; advance() closes it at
-//     withdraw + threshold. After finalize() the summed closed-cycle
+//   * denominator: the shard's RealTimeZombieDetector owns the beacon
+//     windows. Every non-superseded event it is given opens one, and
+//     each window closes once — at withdraw + threshold, or when a
+//     recycle of its prefix replaces it earlier — reporting its peers
+//     to on_window_close(). After finalize() the summed closed-cycle
 //     count equals LongLivedResult::total_announcements.
 //   * numerator: LiveService feeds every batch-equivalent emerge
 //     alert (raised exactly at the deadline; resurrections excluded)
@@ -57,17 +61,14 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <queue>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "beacon/schedule.hpp"
 #include "mrt/record.hpp"
 #include "netbase/ip.hpp"
 #include "netbase/time.hpp"
@@ -125,10 +126,6 @@ struct PeerCell {
   std::uint64_t ann_seen = 0;       // closed cycles with the announcement seen
   std::uint64_t wd_seen = 0;        // closed cycles with the withdrawal seen
   std::uint64_t miss_streak = 0;    // consecutive closed cycles missed
-  /// Dense per-accumulator id (creation order; cells are never erased)
-  /// indexing the OpenCycle visibility bitmaps. Internal bookkeeping —
-  /// not merged, not serialized.
-  std::uint32_t index = 0;
 };
 
 /// Immutable per-shard publication; the peer-table side of
@@ -146,15 +143,13 @@ struct PeerQShardSnapshot {
 class PeerQAccumulator {
  public:
   void on_record(const mrt::MrtRecord& record);
-  /// Called where the worker releases the event to its detector;
-  /// superseded events are skipped (the batch collision rule).
-  void on_expect(const beacon::BeaconEvent& event, netbase::Duration threshold);
   /// One batch-equivalent emerge alert (resurrections excluded by the
   /// caller).
   void on_stuck(const zombie::ZombieAlert& alert);
-  /// Closes every open cycle whose deadline passed; updates per-peer
-  /// seen/missed counts and miss streaks. Cheap when nothing is due.
-  void advance(netbase::TimePoint now);
+  /// One closed beacon cycle, from the shard detector's
+  /// on_window_close: counts it, and each resident peer's seen or
+  /// missed announcement, withdrawal and miss streak.
+  void on_window_close(const zombie::WindowPeers& window);
 
   /// True when classifier-relevant state changed since the last
   /// snapshot (new peer, stuck route, cycle closed, session reset) —
@@ -169,50 +164,14 @@ class PeerQAccumulator {
                                                      std::uint64_t epoch);
 
  private:
-  struct OpenCycle {
-    netbase::Prefix prefix;
-    netbase::TimePoint withdraw_time = 0;
-    netbase::TimePoint deadline = 0;
-    /// Peer-visibility bitmaps indexed by PeerCell::index. Recording
-    /// an announcement is one idempotent bit-set (duplicates are
-    /// free), and closing a cycle probes two bits per resident cell —
-    /// the per-peer tree sets this replaces dominated the
-    /// accumulator's cost with one node allocation per (cycle, peer).
-    std::vector<std::uint64_t> ann_bits;
-    std::vector<std::uint64_t> wd_bits;
-  };
-
   PeerCell& cell(const zombie::PeerKey& peer);
-  void close_cycle(const OpenCycle& cycle);
 
   std::map<zombie::PeerKey, PeerCell> cells_;
-  std::map<std::uint32_t, OpenCycle> open_;
-  /// Open cycles per prefix, scanned linearly: only a handful of
-  /// beacon windows are ever open at once per shard, and the hot case
-  /// — an announced prefix that is *not* a beacon prefix — must
-  /// reject in a few inline compares rather than a tree walk, because
-  /// this runs once per announced prefix of every update record.
-  /// std::map nodes are stable, so the OpenCycle pointers stay valid
-  /// until advance() erases the cycle (which also unlinks them here).
-  std::vector<std::pair<netbase::Prefix, std::vector<OpenCycle*>>> by_prefix_;
-  /// 256-bit membership filter over the first address byte of every
-  /// open beacon prefix. Rebuilt on the rare open/close transitions so
-  /// the overwhelmingly common announced prefix that shares no first
-  /// byte with any open window rejects in a bit test, before even the
-  /// by_prefix_ scan.
-  std::array<std::uint64_t, 4> first_byte_filter_{};
-  void rebuild_filter();
   /// One-entry MRU for cells_: MRT archives batch a session's updates,
   /// so consecutive records usually hit the same peer. std::map node
   /// references are stable, so the pointer stays valid until clear.
   zombie::PeerKey last_peer_;
   PeerCell* last_cell_ = nullptr;
-  /// (deadline, cycle id) min-heap driving advance().
-  std::priority_queue<std::pair<netbase::TimePoint, std::uint32_t>,
-                      std::vector<std::pair<netbase::TimePoint, std::uint32_t>>,
-                      std::greater<>>
-      due_;
-  std::uint32_t next_cycle_ = 0;
   std::uint64_t cycles_closed_ = 0;
   mrt::PeerIndexTable last_index_;
   bool publish_due_ = false;

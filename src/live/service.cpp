@@ -354,7 +354,6 @@ void LiveService::finalize(netbase::TimePoint at) {
 void LiveService::worker_loop(std::size_t shard) {
   Shard& s = *shards_[shard];
   zombie::RealTimeZombieDetector detector(config_.detector);
-  std::set<std::pair<netbase::Prefix, zombie::PeerKey>> resurrected_keys;
   std::set<std::pair<netbase::Prefix, zombie::PeerKey>> emerged;
   std::uint64_t emerged_n = 0;
   std::uint64_t resurrected_n = 0;
@@ -369,11 +368,16 @@ void LiveService::worker_loop(std::size_t shard) {
   auto& journal = Journal::global();
   const netbase::Duration threshold = config_.detector.threshold;
   // Worker-private peer-quality accumulator (live/peerq.hpp) — same
-  // ownership story as the detector, shared only via snapshots.
+  // ownership story as the detector, shared only via snapshots. It
+  // counts the beacon cycles as the detector's windows close.
   const bool peerq_on = config_.peerq.enabled;
   PeerQAccumulator peerq;
   std::uint64_t peerq_epoch = 0;
   auto last_peerq_pub = SteadyClock::now();
+  if (peerq_on) {
+    detector.on_window_close(
+        [&](const zombie::WindowPeers& window) { peerq.on_window_close(window); });
+  }
 
   // Expect events are buffered and handed to the detector in stream
   // order, not registration order: the detector keeps one watch per
@@ -404,13 +408,6 @@ void LiveService::worker_loop(std::size_t shard) {
       pending.pop();
       detector.advance(event.announce_time - 1);
       detector.expect(event);
-      if (peerq_on) {
-        // Mirror the detector exactly: the cycle opens where the watch
-        // does, and superseded events are skipped inside on_expect —
-        // the closed-cycle sum is the batch announcement denominator.
-        peerq.advance(event.announce_time);
-        peerq.on_expect(event, threshold);
-      }
     }
   };
 
@@ -420,12 +417,10 @@ void LiveService::worker_loop(std::size_t shard) {
     // interval had already passed clean — live-only, excluded from the
     // batch-equivalent emerge set.
     const bool resurrect = alert.raised_at > alert.withdrawn_at + threshold;
-    const auto key = std::make_pair(alert.prefix, alert.peer);
     if (resurrect) {
-      resurrected_keys.insert(key);
       ++resurrected_n;
     } else {
-      emerged.insert(key);
+      emerged.insert({alert.prefix, alert.peer});
       ++emerged_n;
       // One batch-equivalent ZombieRoute — the stuck-probability
       // numerator. Resurrections are live-only and excluded, exactly
@@ -456,7 +451,6 @@ void LiveService::worker_loop(std::size_t shard) {
   });
   detector.on_resolution([&](const zombie::ZombieResolution& resolution) {
     ++died_n;
-    resurrected_keys.erase({resolution.prefix, resolution.peer});
     m_transitions_.inc();
     if (journal.enabled(obs::kCatLive)) {
       JournalEvent ev;
@@ -492,7 +486,7 @@ void LiveService::worker_loop(std::size_t shard) {
     if (zombies_version != detector.active_version()) {
       std::vector<LiveZombie> next_zombies;
       for (auto& alert : detector.active_zombies()) {
-        const bool resurrect = resurrected_keys.contains({alert.prefix, alert.peer});
+        const bool resurrect = alert.raised_at > alert.withdrawn_at + threshold;
         next_zombies.push_back({std::move(alert), resurrect});
       }
       shared_zombies =
@@ -559,7 +553,6 @@ void LiveService::worker_loop(std::size_t shard) {
         deliver_expects_until(item.advance_to);
         clock = std::max(clock, item.advance_to);
         detector.advance(item.advance_to);
-        if (peerq_on) peerq.advance(item.advance_to);
         // finalize() waits on the ack; both snapshots must be current
         // (the forced peerq publish is what makes the converge pass
         // see every closed cycle).
@@ -587,10 +580,7 @@ void LiveService::worker_loop(std::size_t shard) {
         deliver_expects_until(mrt::record_timestamp(item.record));
         clock = std::max(clock, mrt::record_timestamp(item.record));
         detector.ingest(item.record);
-        if (peerq_on) {
-          peerq.advance(clock);
-          peerq.on_record(item.record);
-        }
+        if (peerq_on) peerq.on_record(item.record);
         stage_detect_.record_ns(elapsed_ns(dequeued, SteadyClock::now()));
         s.processed.fetch_add(1, std::memory_order_relaxed);
         m_records_.inc();

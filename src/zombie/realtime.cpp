@@ -35,14 +35,13 @@ void RealTimeZombieDetector::expect(const beacon::BeaconEvent& event) {
   // that falls exactly on the recycle instant fires first: no later
   // record can belong to the old window, and a caller that advanced
   // only to announce_time - 1 (see LiveService) has not fired it yet.
+  // A later deadline never fires: the old window closes here.
   auto it = watches_.find(event.prefix);
   if (it != watches_.end()) {
     Watch& old = it->second;
     if (deadline(old) == event.announce_time) fire_deadline(old);
-    for (auto& [peer, state] : old.peers) {
-      (void)state;
-      resolve(old, peer, event.announce_time);
-    }
+    if (!old.deadline_fired && window_close_fn_) window_close_fn_(old.peers);
+    for (auto& [peer, state] : old.peers) resolve(old, peer, state, event.announce_time);
   }
   Watch watch;
   watch.event = event;
@@ -50,11 +49,9 @@ void RealTimeZombieDetector::expect(const beacon::BeaconEvent& event) {
   watches_[event.prefix] = std::move(watch);
 }
 
-void RealTimeZombieDetector::resolve(Watch& watch, const PeerKey& peer,
-                                     netbase::TimePoint at) {
-  auto it = watch.peers.find(peer);
-  if (it == watch.peers.end()) return;
-  if (it->second.alerted) {
+void RealTimeZombieDetector::resolve(const Watch& watch, const PeerKey& peer,
+                                     WindowPeer& state, netbase::TimePoint at) {
+  if (state.alerted) {
     alerted_.erase({watch.event.prefix, peer});
     ++active_version_;
     if (resolution_fn_) {
@@ -69,12 +66,12 @@ void RealTimeZombieDetector::resolve(Watch& watch, const PeerKey& peer,
     journal_transition(obs::JournalEventType::kZombieCleared, watch.event.prefix,
                        peer, at, config_.threshold, watch.event.withdraw_time);
   }
-  it->second.announced = false;
-  it->second.alerted = false;
+  state.announced = false;
+  state.alerted = false;
 }
 
 void RealTimeZombieDetector::raise(const Watch& watch, const PeerKey& peer,
-                                   Watch::PeerState& state, netbase::TimePoint at) {
+                                   WindowPeer& state, netbase::TimePoint at) {
   state.alerted = true;
   ++alerts_raised_;
   journal_transition(obs::JournalEventType::kZombieDeclared, watch.event.prefix, peer,
@@ -95,6 +92,7 @@ void RealTimeZombieDetector::fire_deadline(Watch& watch) {
   for (auto& [peer, state] : watch.peers) {
     if (state.announced && !state.alerted) raise(watch, peer, state, deadline(watch));
   }
+  if (window_close_fn_) window_close_fn_(watch.peers);
 }
 
 void RealTimeZombieDetector::advance(netbase::TimePoint now) {
@@ -117,19 +115,22 @@ void RealTimeZombieDetector::ingest(const mrt::MrtRecord& record) {
 
   if (const auto* msg = std::get_if<mrt::Bgp4mpMessage>(&record)) {
     const PeerKey peer{msg->peer_asn, msg->peer_address};
-    if (config_.excluded_peers.contains(peer)) return;
     const netbase::TimePoint t = msg->timestamp;
     for (const auto& prefix : msg->update.withdrawn) {
       auto it = watches_.find(prefix);
       if (it == watches_.end() || t < it->second.event.announce_time) continue;
-      resolve(it->second, peer, t);
+      Watch& watch = it->second;
+      WindowPeer& state = watch.peers[peer];
+      if (t >= watch.event.withdraw_time) state.wd_seen = true;
+      resolve(watch, peer, state, t);
     }
     for (const auto& prefix : msg->update.announced) {
       auto it = watches_.find(prefix);
       if (it == watches_.end() || t < it->second.event.announce_time) continue;
       Watch& watch = it->second;
-      auto& state = watch.peers[peer];
+      WindowPeer& state = watch.peers[peer];
       state.announced = true;
+      state.ann_seen = true;
       const bgp::AsPath& path = msg->update.attributes.as_path;
       if (state.alerted) {
         // Still stuck, possibly on a new path: keep the active entry's
@@ -154,7 +155,8 @@ void RealTimeZombieDetector::ingest(const mrt::MrtRecord& record) {
       const PeerKey peer{state_msg->peer_asn, state_msg->peer_address};
       for (auto& [prefix, watch] : watches_) {
         (void)prefix;
-        resolve(watch, peer, state_msg->timestamp);
+        auto it = watch.peers.find(peer);
+        if (it != watch.peers.end()) resolve(watch, peer, it->second, state_msg->timestamp);
       }
     }
   }

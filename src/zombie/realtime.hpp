@@ -16,7 +16,6 @@
 #include <map>
 #include <optional>
 #include <queue>
-#include <set>
 #include <vector>
 
 #include "beacon/schedule.hpp"
@@ -46,8 +45,18 @@ struct ZombieResolution {
 
 struct RealTimeConfig {
   netbase::Duration threshold = 90 * netbase::kMinute;
-  std::set<PeerKey> excluded_peers;
 };
+
+/// One peer inside one beacon window: its live route state, plus what
+/// the window saw of it, which the window's close reports.
+struct WindowPeer {
+  bool announced = false;  // holds the route now
+  bool alerted = false;
+  bool ann_seen = false;   // announced at or after announce_time
+  bool wd_seen = false;    // withdrew at or after withdraw_time
+  bgp::AsPath path;
+};
+using WindowPeers = std::map<PeerKey, WindowPeer>;
 
 /// Online detector. Usage:
 ///   RealTimeZombieDetector det(config);
@@ -56,9 +65,15 @@ struct RealTimeConfig {
 ///   for (record : stream) det.ingest(record);
 ///   det.advance(now);               // heartbeat fires due alerts
 ///
-/// Per-record cost does not grow with the number of watches: deadlines
-/// sit in a min-heap and the alerted routes in their own map. A session
-/// reset, which clears the peer from every watch, is the exception.
+/// It is the one owner of a stream's beacon windows (watches): each
+/// closes once, at its deadline or when a recycle replaces it before
+/// then, and on_window_close reports every close with the window's
+/// peers — how live feed-quality accounting (live/peerq.hpp) counts
+/// each peer's seen and missed cycles without a window table of its
+/// own. Per-record cost does not grow with the number of watches:
+/// deadlines sit in a min-heap and the alerted routes in their own
+/// map. A session reset, which clears the peer from every watch, is
+/// the exception.
 class RealTimeZombieDetector {
  public:
   explicit RealTimeZombieDetector(RealTimeConfig config) : config_(std::move(config)) {}
@@ -67,11 +82,17 @@ class RealTimeZombieDetector {
   void on_resolution(std::function<void(const ZombieResolution&)> fn) {
     resolution_fn_ = std::move(fn);
   }
+  /// Called once per closed window: after its deadline's alerts, or at
+  /// the expect() that recycles its prefix before the deadline.
+  void on_window_close(std::function<void(const WindowPeers&)> fn) {
+    window_close_fn_ = std::move(fn);
+  }
 
   /// Registers an upcoming beacon announce/withdraw pair. Superseded
   /// events are ignored per the paper's collision rule. A watch already
   /// registered for the prefix is replaced (prefix recycled); if its
-  /// deadline falls exactly on the new announce_time it fires first.
+  /// deadline falls exactly on the new announce_time it fires first,
+  /// and if it falls later the window closes unfired.
   void expect(const beacon::BeaconEvent& event);
 
   /// Feeds one record. Deadlines strictly before the record's timestamp
@@ -101,13 +122,7 @@ class RealTimeZombieDetector {
  private:
   struct Watch {
     beacon::BeaconEvent event;
-    /// Last known state per peer inside this watch.
-    struct PeerState {
-      bool announced = false;
-      bgp::AsPath path;
-      bool alerted = false;
-    };
-    std::map<PeerKey, PeerState> peers;
+    WindowPeers peers;
     bool deadline_fired = false;
   };
 
@@ -116,13 +131,16 @@ class RealTimeZombieDetector {
   }
   void fire_deadline(Watch& watch);
   /// Marks the route alerted, records it in alerted_, and notifies.
-  void raise(const Watch& watch, const PeerKey& peer, Watch::PeerState& state,
+  void raise(const Watch& watch, const PeerKey& peer, WindowPeer& state,
              netbase::TimePoint at);
-  void resolve(Watch& watch, const PeerKey& peer, netbase::TimePoint at);
+  /// Clears the peer's route, resolving its alert if it had one.
+  void resolve(const Watch& watch, const PeerKey& peer, WindowPeer& state,
+               netbase::TimePoint at);
 
   RealTimeConfig config_;
   std::function<void(const ZombieAlert&)> alert_fn_;
   std::function<void(const ZombieResolution&)> resolution_fn_;
+  std::function<void(const WindowPeers&)> window_close_fn_;
   /// Watches keyed by prefix; a new expect() for the same prefix
   /// supersedes the old watch (prefix recycled).
   std::map<netbase::Prefix, Watch> watches_;
