@@ -86,9 +86,11 @@ ASAN_ONLY_TARGETS="netbase_test bgp_test mrt_test zombie_test fuzz_codec_test sc
 # surface (MPSC queues, snapshot publication, SSE fanout) the
 # sanitizers exist to check. Fails on a nonzero daemon exit (sanitizer
 # reports make the runtime exit nonzero), on any report text in the
-# logs, or if a /live/zombies epoch ever moves backwards. The daemon
-# writes its metrics, trace and journal files on the way out, so the
-# exit path and shutdown order run under the sanitizer too.
+# logs, if a /live/zombies epoch ever moves backwards, or if the last
+# populated /peers body has no closed beacon cycle or no peer seen in
+# one. The daemon writes its metrics, trace and journal files on the
+# way out, so the exit path and shutdown order run under the sanitizer
+# too.
 soak_zslived() {
   local build_dir="$1" label="$2"
   local log="${build_dir}/zslived-soak.stderr"
@@ -228,19 +230,31 @@ soak_zslived() {
   assert_series "${label}" "live.records_total rate" "${rate_series}"
   assert_series "${label}" "latency:live.e2e:p99" "${p99_series}"
   # zspeerq: the peer table must be populated (the tap demo's simulated
-  # collectors all feed) and classify nobody noisy — every simulated
-  # peer withdraws honestly, so a nonzero noisy count here means the
-  # live classifier has a false positive.
+  # collectors all feed), count closed beacon cycles with at least one
+  # peer seen in them, and classify nobody noisy. The cycles are the
+  # shard detectors' window closes; the tap demo's 4 beacons share
+  # withdraw times, so several windows close at one instant. The noisy
+  # check cannot fail on this demo: the soak closes about 8 cycles,
+  # under PeerQConfig::min_cycles (20), and the lossy session's peers
+  # stay stuck in most cycles, which holds the median near 0.75.
   case "${peers_json}" in
     *'"peers":[{'*) ;;
     *) echo "zslived (${label}) /peers table empty: ${peers_json}"; exit 1 ;;
+  esac
+  case "${peers_json}" in
+    *'"total_cycles":'[1-9]*) ;;
+    *) echo "zslived (${label}) /peers closed no beacon cycles: ${peers_json}"; exit 1 ;;
+  esac
+  case "${peers_json}" in
+    *'"ann_seen":'[1-9]*) ;;
+    *) echo "zslived (${label}) /peers saw no peer in any closed cycle: ${peers_json}"; exit 1 ;;
   esac
   case "${peers_json}" in
     *'"noisy_count":0'*) ;;
     *) echo "zslived (${label}) /peers classified peers noisy on the clean tap demo: ${peers_json}"
        exit 1 ;;
   esac
-  echo "== tier-1: zslived soak (${label}) OK (final epoch ${last_epoch}, lag p99 ${lag_p99}s, alerts clean, peers clean, exit files written)"
+  echo "== tier-1: zslived soak (${label}) OK (final epoch ${last_epoch}, lag p99 ${lag_p99}s, alerts clean, peers clean, cycles counted, exit files written)"
 }
 
 # A short BGP loopback soak under the instrumented build: zslived as a
