@@ -204,31 +204,19 @@ BENCHMARK(BM_PeerQOnRecord);
 
 void BM_PeerQArchiveReplay(benchmark::State& state) {
   // The real longlived2024 archive through one detector with the
-  // accumulator attached, as a shard worker runs them (beacon events
-  // released in stream order), minus queues and publishing.
+  // accumulator attached, as a shard worker runs them (the schedule
+  // registered up front), minus queues and publishing.
   const auto data = bench::load_longlived2024();
-  std::vector<beacon::BeaconEvent> events = data.events;
-  std::sort(events.begin(), events.end(),
-            [](const beacon::BeaconEvent& a, const beacon::BeaconEvent& b) {
-              return a.announce_time < b.announce_time;
-            });
-  const zombie::RealTimeConfig config;
   for (auto _ : state) {
-    zombie::RealTimeZombieDetector detector(config);
+    zombie::RealTimeZombieDetector detector{zombie::RealTimeConfig{}};
     live::PeerQAccumulator acc;
     detector.on_alert([&](const zombie::ZombieAlert& alert) {
-      if (alert.raised_at == alert.withdrawn_at + config.threshold) acc.on_stuck(alert);
+      if (!alert.resurrected) acc.on_stuck(alert);
     });
     detector.on_window_close(
         [&](const zombie::WindowPeers& window) { acc.on_window_close(window); });
-    std::size_t next_event = 0;
+    for (const auto& event : data.events) detector.expect(event);
     for (const auto& record : data.updates) {
-      const netbase::TimePoint t = mrt::record_timestamp(record);
-      for (; next_event < events.size() && events[next_event].announce_time <= t;
-           ++next_event) {
-        detector.advance(events[next_event].announce_time - 1);
-        detector.expect(events[next_event]);
-      }
       detector.ingest(record);
       acc.on_record(record);
     }

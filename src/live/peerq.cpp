@@ -159,9 +159,9 @@ std::shared_ptr<const PeerTable> PeerTableBuilder::build(
     }
   }
 
-  // The raw classification is NoisyPeerFilter verbatim: probability =
-  // stuck / total cycles (same denominator for every peer), median
-  // over the whole universe averaging the middle two for even counts.
+  // The raw classification is NoisyPeerFilter's own median and
+  // verdict: probability = stuck / total cycles (same denominator for
+  // every peer), median over the whole universe.
   std::vector<double> probabilities;
   probabilities.reserve(merged.size());
   for (auto& [peer, row] : merged) {
@@ -173,20 +173,12 @@ std::shared_ptr<const PeerTable> PeerTableBuilder::build(
     row.wilson = wilson_interval(row.stuck, table->total_cycles);
     probabilities.push_back(row.probability);
   }
-  if (!probabilities.empty()) {
-    std::sort(probabilities.begin(), probabilities.end());
-    const std::size_t n = probabilities.size();
-    table->median_probability = n % 2 == 1
-                                    ? probabilities[n / 2]
-                                    : (probabilities[n / 2 - 1] + probabilities[n / 2]) / 2.0;
-  }
+  table->median_probability = zombie::NoisyPeerFilter::median(std::move(probabilities));
 
   auto& journal = obs::Journal::global();
   table->rows.reserve(merged.size());
   for (auto& [peer, row] : merged) {
-    row.noisy_raw = row.probability > config_.probability_floor &&
-                    row.probability >
-                        config_.median_multiplier * table->median_probability;
+    row.noisy_raw = rule_.is_noisy(row.probability, table->median_probability);
 
     Published& st = state_[peer];
     bool desired;
@@ -199,8 +191,8 @@ std::shared_ptr<const PeerTable> PeerTableBuilder::build(
     } else {
       // Entry needs statistical weight behind it: enough closed cycles
       // service-wide and a Wilson lower bound already past the floor.
-      desired = row.noisy_raw && table->total_cycles >= config_.min_cycles &&
-                row.wilson.low > config_.probability_floor;
+      desired = row.noisy_raw && table->total_cycles >= kNoisyMinCycles &&
+                row.wilson.low > rule_.config().probability_floor;
     }
     if (desired != st.noisy) {
       if (converge) {
@@ -227,7 +219,7 @@ std::shared_ptr<const PeerTable> PeerTableBuilder::build(
     row.noisy = st.noisy;
 
     row.silent = row.updates > 0 && clock > row.last_seen &&
-                 clock - row.last_seen > config_.silent_after;
+                 clock - row.last_seen > kSilentAfter;
     if (row.silent && !st.silent_logged) {
       st.silent_logged = true;
       if (journal.enabled(obs::kCatPeer)) {

@@ -26,7 +26,8 @@
 //                         take the max, because every shard saw the
 //                         same state-change records.
 //   PeerTableBuilder      the online noisy-peer classifier. The raw
-//                         rule is byte-for-byte NoisyPeerFilter's:
+//                         rule is NoisyPeerFilter's own median and
+//                         verdict under the default NoisyPeerConfig:
 //                         noisy iff p > probability_floor AND
 //                         p > median_multiplier x median(all peers'
 //                         p), with p = stuck / closed beacon cycles.
@@ -72,6 +73,7 @@
 #include "mrt/record.hpp"
 #include "netbase/ip.hpp"
 #include "netbase/time.hpp"
+#include "zombie/noisy.hpp"
 #include "zombie/realtime.hpp"
 #include "zombie/types.hpp"
 
@@ -82,27 +84,25 @@ struct PeerQConfig {
   /// snapshot, and endpoint body (the A/B the peerq_overhead bench
   /// measures).
   bool enabled = true;
-  /// The raw classification rule — identical to zombie::NoisyPeerConfig.
-  double probability_floor = 0.05;
-  double median_multiplier = 4.0;
-  /// Live-entry stabilizers (bypassed by build(converge=true)): a peer
-  /// may only *enter* the published noisy set once at least
-  /// `min_cycles` beacon cycles closed service-wide and the Wilson
-  /// lower bound of its stuck probability clears the floor — thin
-  /// early data cannot brand a peer.
-  std::uint64_t min_cycles = 20;
   /// Enter/exit dwell: the raw verdict must disagree with the
   /// published state over this many consecutive data epochs before
   /// the published state flips.
   int dwell = 3;
-  /// A peer with updates is "silent" once the stream clock moved this
-  /// far past its last update (journal kPeerSilent, counted in
-  /// silent_count / feeding_count).
-  netbase::Duration silent_after = 30 * netbase::kMinute;
-  /// Bounded-cardinality top-K offender gauges
-  /// (zs_peer_topk_stuck_ppm_r<r> / zs_peer_topk_asn_r<r>).
-  std::size_t top_k = 3;
 };
+
+/// Live-entry stabilizer (bypassed by build(converge=true)): a peer
+/// may only *enter* the published noisy set once at least this many
+/// beacon cycles closed service-wide and the Wilson lower bound of its
+/// stuck probability clears the floor — thin early data cannot brand
+/// a peer.
+inline constexpr std::uint64_t kNoisyMinCycles = 20;
+/// A peer with updates is "silent" once the stream clock moved this
+/// far past its last update (journal kPeerSilent, counted in
+/// silent_count / feeding_count).
+inline constexpr netbase::Duration kSilentAfter = 30 * netbase::kMinute;
+/// Bounded-cardinality top-K offender gauges
+/// (zs_peer_topk_stuck_ppm_r<r> / zs_peer_topk_asn_r<r>).
+inline constexpr std::size_t kTopKGauges = 3;
 
 /// Wilson score interval for a binomial proportion — the streaming
 /// confidence band served with every stuck-probability estimate
@@ -193,7 +193,7 @@ struct PeerRow {
   WilsonInterval wilson;
   bool noisy_raw = false;  // the memoryless NoisyPeerFilter verdict
   bool noisy = false;      // published (dwell-stabilized) verdict
-  bool silent = false;     // fed before, nothing within silent_after
+  bool silent = false;     // fed before, nothing within kSilentAfter
 };
 
 /// Epoch-versioned merged table, immutable once built.
@@ -236,6 +236,9 @@ class PeerTableBuilder {
   };
 
   PeerQConfig config_;
+  /// The raw rule: zombie::NoisyPeerConfig's floor and multiplier,
+  /// which the live set must equal.
+  zombie::NoisyPeerFilter rule_;
   std::map<zombie::PeerKey, Published> state_;
 };
 

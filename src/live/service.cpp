@@ -5,9 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <mutex>
-#include <queue>
 #include <stdexcept>
-#include <tuple>
 #include <variant>
 
 #include <cstdio>
@@ -129,13 +127,13 @@ LiveService::LiveService(LiveConfig config)
   m_transitions_ = registry.counter("zs_live_transitions_total");
   if (config_.peerq.enabled) {
     // Bounded cardinality by construction: four aggregates plus
-    // 2 x top_k offender slots, never one series per peer. The
+    // 2 x kTopKGauges offender slots, never one series per peer. The
     // registry sweep exposes these to the TSDB as peer.*.
     m_peer_count_ = registry.gauge("zs_peer_count");
     m_peer_noisy_ = registry.gauge("zs_peer_noisy_count");
     m_peer_silent_ = registry.gauge("zs_peer_silent_count");
     m_peer_feeding_ = registry.gauge("zs_peer_feeding_count");
-    for (std::size_t r = 0; r < config_.peerq.top_k; ++r) {
+    for (std::size_t r = 0; r < kTopKGauges; ++r) {
       m_peer_topk_ppm_.push_back(
           registry.gauge("zs_peer_topk_stuck_ppm_r" + std::to_string(r)));
       m_peer_topk_asn_.push_back(
@@ -193,7 +191,7 @@ void LiveService::start() {
     // What readers see before the worker's first publish: empty
     // vectors, never null ones.
     auto empty = std::make_shared<ShardSnapshot>();
-    empty->zombies = std::make_shared<const std::vector<LiveZombie>>();
+    empty->zombies = std::make_shared<const std::vector<zombie::ZombieAlert>>();
     empty->emerged_pairs = std::make_shared<const std::vector<EmergedPair>>();
     shard->snap = std::move(empty);
     shards_.push_back(std::move(shard));
@@ -359,14 +357,12 @@ void LiveService::worker_loop(std::size_t shard) {
   std::uint64_t resurrected_n = 0;
   std::uint64_t died_n = 0;
   std::uint64_t epoch = 0;
-  netbase::TimePoint clock = 0;
   bool dirty = false;
   // Feed-ingest stamp of the item being processed right now: the
   // transition callbacks below embed it in the SSE JSON so a loopback
   // subscriber can compute end-to-end delivery latency.
   std::uint64_t cur_ingest_ns = 0;
   auto& journal = Journal::global();
-  const netbase::Duration threshold = config_.detector.threshold;
   // Worker-private peer-quality accumulator (live/peerq.hpp) — same
   // ownership story as the detector, shared only via snapshots. It
   // counts the beacon cycles as the detector's windows close.
@@ -379,45 +375,10 @@ void LiveService::worker_loop(std::size_t shard) {
         [&](const zombie::WindowPeers& window) { peerq.on_window_close(window); });
   }
 
-  // Expect events are buffered and handed to the detector in stream
-  // order, not registration order: the detector keeps one watch per
-  // prefix and a new expect() supersedes the old one (prefix recycled),
-  // so registering a whole beacon schedule upfront would wipe every
-  // cycle's watch except the last before its deadline could fire. Each
-  // event is released only once the shard's stream time reaches its
-  // announce_time, after advancing the detector to announce_time - 1
-  // so earlier deadlines fire first. Not to announce_time itself: a
-  // deadline stamped exactly there belongs after the records stamped
-  // there, which batch counts as in time (expect() fires the one
-  // deadline that must not wait — the recycled prefix's own).
-  struct PendingExpect {
-    beacon::BeaconEvent event;
-    std::uint64_t seq = 0;  // registration order breaks announce_time ties
-  };
-  const auto later = [](const PendingExpect& a, const PendingExpect& b) {
-    if (a.event.announce_time != b.event.announce_time)
-      return a.event.announce_time > b.event.announce_time;
-    return a.seq > b.seq;
-  };
-  std::priority_queue<PendingExpect, std::vector<PendingExpect>, decltype(later)>
-      pending(later);
-  std::uint64_t pending_seq = 0;
-  const auto deliver_expects_until = [&](netbase::TimePoint t) {
-    while (!pending.empty() && pending.top().event.announce_time <= t) {
-      const beacon::BeaconEvent event = pending.top().event;
-      pending.pop();
-      detector.advance(event.announce_time - 1);
-      detector.expect(event);
-    }
-  };
-
   detector.on_alert([&](const zombie::ZombieAlert& alert) {
-    // The deadline check always stamps raised_at = withdrawn_at +
-    // threshold; anything later is a route that came back *after* the
-    // interval had already passed clean — live-only, excluded from the
-    // batch-equivalent emerge set.
-    const bool resurrect = alert.raised_at > alert.withdrawn_at + threshold;
-    if (resurrect) {
+    // A resurrection is live-only, excluded from the batch-equivalent
+    // emerge set.
+    if (alert.resurrected) {
       ++resurrected_n;
     } else {
       emerged.insert({alert.prefix, alert.peer});
@@ -430,20 +391,20 @@ void LiveService::worker_loop(std::size_t shard) {
     m_transitions_.inc();
     if (journal.enabled(obs::kCatLive)) {
       JournalEvent ev;
-      ev.type = resurrect ? JournalEventType::kLiveZombieResurrected
-                          : JournalEventType::kLiveZombieEmerged;
+      ev.type = alert.resurrected ? JournalEventType::kLiveZombieResurrected
+                                  : JournalEventType::kLiveZombieEmerged;
       ev.time = alert.raised_at;
       ev.has_prefix = true;
       ev.prefix = alert.prefix;
       ev.has_peer = true;
       ev.peer_asn = alert.peer.asn;
       ev.peer_address = alert.peer.address;
-      ev.a = resurrect ? alert.raised_at : threshold;
+      ev.a = alert.resurrected ? alert.raised_at : config_.detector.threshold;
       ev.b = alert.withdrawn_at;
       journal.emit<obs::kCatLive>(ev);
     }
-    events_.publish(resurrect ? "resurrect" : "emerge",
-                    transition_json(resurrect ? "resurrect" : "emerge",
+    events_.publish(alert.resurrected ? "resurrect" : "emerge",
+                    transition_json(alert.resurrected ? "resurrect" : "emerge",
                                     alert.prefix, alert.peer,
                                     alert.withdrawn_at, alert.raised_at, 0,
                                     cur_ingest_ns));
@@ -477,20 +438,15 @@ void LiveService::worker_loop(std::size_t shard) {
   // The published zombie and emerged vectors, rebuilt only when the
   // detector's active set or the emerged set moved since the last
   // publish; otherwise the next snapshot shares them.
-  auto shared_zombies = std::make_shared<const std::vector<LiveZombie>>();
+  auto shared_zombies = std::make_shared<const std::vector<zombie::ZombieAlert>>();
   auto shared_pairs = std::make_shared<const std::vector<EmergedPair>>();
   std::uint64_t zombies_version = detector.active_version();
 
   const auto publish = [&](bool force_peerq = false) {
     const auto publish_start = SteadyClock::now();
     if (zombies_version != detector.active_version()) {
-      std::vector<LiveZombie> next_zombies;
-      for (auto& alert : detector.active_zombies()) {
-        const bool resurrect = alert.raised_at > alert.withdrawn_at + threshold;
-        next_zombies.push_back({std::move(alert), resurrect});
-      }
-      shared_zombies =
-          std::make_shared<const std::vector<LiveZombie>>(std::move(next_zombies));
+      shared_zombies = std::make_shared<const std::vector<zombie::ZombieAlert>>(
+          detector.active_zombies());
       zombies_version = detector.active_version();
     }
     if (shared_pairs->size() != emerged.size()) {
@@ -499,7 +455,7 @@ void LiveService::worker_loop(std::size_t shard) {
     }
     auto next = std::make_shared<ShardSnapshot>();
     next->epoch = ++epoch;
-    next->clock = clock;
+    next->clock = detector.stream_time();
     next->zombies = shared_zombies;
     next->emerged_pairs = shared_pairs;
     next->processed = s.processed.load(std::memory_order_relaxed);
@@ -521,7 +477,7 @@ void LiveService::worker_loop(std::size_t shard) {
         (force_peerq ||
          (peerq.publish_due() && since_pub_ns >= 100'000'000ull) ||
          since_pub_ns >= 1'000'000'000ull)) {
-      peerq_next = peerq.snapshot(clock, ++peerq_epoch);
+      peerq_next = peerq.snapshot(detector.stream_time(), ++peerq_epoch);
       last_peerq_pub = publish_start;
     }
     {
@@ -546,12 +502,9 @@ void LiveService::worker_loop(std::size_t shard) {
     cur_ingest_ns = steady_ns(item.ingest);
     switch (item.kind) {
       case ShardItem::Kind::kExpect:
-        pending.push({item.event, pending_seq++});
-        deliver_expects_until(clock);  // late registration: already due
+        detector.expect(item.event);
         break;
       case ShardItem::Kind::kAdvance:
-        deliver_expects_until(item.advance_to);
-        clock = std::max(clock, item.advance_to);
         detector.advance(item.advance_to);
         // finalize() waits on the ack; both snapshots must be current
         // (the forced peerq publish is what makes the converge pass
@@ -577,8 +530,6 @@ void LiveService::worker_loop(std::size_t shard) {
             }
           }
         }
-        deliver_expects_until(mrt::record_timestamp(item.record));
-        clock = std::max(clock, mrt::record_timestamp(item.record));
         detector.ingest(item.record);
         if (peerq_on) peerq.on_record(item.record);
         stage_detect_.record_ns(elapsed_ns(dequeued, SteadyClock::now()));
@@ -630,8 +581,8 @@ std::uint64_t LiveService::epoch() const {
   return sum;
 }
 
-std::vector<LiveZombie> LiveService::zombies() const {
-  std::vector<LiveZombie> out;
+std::vector<zombie::ZombieAlert> LiveService::zombies() const {
+  std::vector<zombie::ZombieAlert> out;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (const auto snap = snapshot(i)) {
       out.insert(out.end(), snap->zombies->begin(), snap->zombies->end());
@@ -841,11 +792,12 @@ void LiveService::attach_http(obs::HttpServer& server,
   if (stale_after_seconds > 0.0 || extra_degraded) {
     // Readiness override (registration overrides the built-in
     // liveness /healthz): degraded once no shard has published a
-    // snapshot within the threshold — workers publish after every
-    // batch and on the 50 ms idle tick, so a healthy instance is
-    // never more than ~a tick stale — or once the composed
+    // snapshot within the threshold, or once the composed
     // extra_degraded probe (zslived: firing zstsdb alerts) reports a
-    // reason.
+    // reason. Workers publish at start, after every batch, and on the
+    // 50 ms idle tick only while a transition is unpublished, so a
+    // service whose feed stops goes stale: the probe reports a feed
+    // gone quiet, not only a wedged worker.
     server.add_endpoint(
         "/healthz",
         [this, stale_after_seconds,
@@ -909,7 +861,7 @@ std::string LiveService::zombies_json() const {
   out += ',';
   append_kv(out, "died_total", std::to_string(died_total), false);
   out += ",\"zombies\":[";
-  const std::vector<LiveZombie> zs = zombies();
+  const std::vector<zombie::ZombieAlert> zs = zombies();
   // Supporting-peer provenance (peerq): for each stuck prefix, which
   // peers confirm it, and what fraction of the *non-noisy* peer
   // universe that is — the paper's argument that a zombie seen only by
@@ -920,28 +872,28 @@ std::string LiveService::zombies_json() const {
   if (config_.peerq.enabled) {
     table = peers();
     noisy = table->noisy_set();
-    for (const auto& z : zs) support[z.alert.prefix].insert(z.alert.peer);
+    for (const auto& z : zs) support[z.prefix].insert(z.peer);
   }
   bool first = true;
   for (const auto& z : zs) {
     if (!first) out += ',';
     first = false;
     out += '{';
-    append_kv(out, "prefix", z.alert.prefix.to_string(), true);
+    append_kv(out, "prefix", z.prefix.to_string(), true);
     out += ',';
-    append_kv(out, "peer_asn", std::to_string(z.alert.peer.asn), false);
+    append_kv(out, "peer_asn", std::to_string(z.peer.asn), false);
     out += ',';
-    append_kv(out, "peer_address", z.alert.peer.address.to_string(), true);
+    append_kv(out, "peer_address", z.peer.address.to_string(), true);
     out += ',';
-    append_kv(out, "withdrawn_at", std::to_string(z.alert.withdrawn_at), false);
+    append_kv(out, "withdrawn_at", std::to_string(z.withdrawn_at), false);
     out += ',';
-    append_kv(out, "raised_at", std::to_string(z.alert.raised_at), false);
+    append_kv(out, "raised_at", std::to_string(z.raised_at), false);
     out += ',';
     append_kv(out, "resurrected", z.resurrected ? "true" : "false", false);
     out += ',';
-    append_kv(out, "stuck_path", z.alert.stuck_path.to_string(), true);
+    append_kv(out, "stuck_path", z.stuck_path.to_string(), true);
     if (table) {
-      const auto& supporters = support[z.alert.prefix];
+      const auto& supporters = support[z.prefix];
       std::size_t non_noisy_support = 0;
       for (const auto& peer : supporters) {
         if (!noisy.contains(peer)) ++non_noisy_support;

@@ -20,7 +20,7 @@
 //              (tests/live_e2e_test.cpp asserts this).
 //   resurrect  a zombie came back *after* the deadline had already
 //              passed clean — a live-only phenomenon batch detection
-//              folds into the same outbreak (raised_at > deadline).
+//              folds into the same outbreak (ZombieAlert::resurrected).
 //   die        a stuck route finally cleared (withdrawal, session
 //              flush, or the next beacon announcement superseding it).
 //
@@ -94,13 +94,6 @@ struct FeedItem {
   std::chrono::steady_clock::time_point ingest{};
 };
 
-/// One currently-stuck route in a snapshot, with its live
-/// classification.
-struct LiveZombie {
-  zombie::ZombieAlert alert;
-  bool resurrected = false;  // raised after the deadline (live-only)
-};
-
 using EmergedPair = std::pair<netbase::Prefix, zombie::PeerKey>;
 
 /// What a shard worker publishes after each batch: an immutable value
@@ -109,11 +102,13 @@ using EmergedPair = std::pair<netbase::Prefix, zombie::PeerKey>;
 /// (the /live/zombies ETag is the sum of shard epochs).
 struct ShardSnapshot {
   std::uint64_t epoch = 0;
-  netbase::TimePoint clock = 0;  // detector's stream clock
-  /// Currently stuck routes, sorted by (prefix, peer). Never null.
-  /// Successive snapshots share one vector until a transition changes
-  /// it, so a publish without transitions copies nothing.
-  std::shared_ptr<const std::vector<LiveZombie>> zombies;
+  netbase::TimePoint clock = 0;  // the detector's stream_time()
+  /// The detector's active_zombies(): currently stuck routes, sorted
+  /// by (prefix, peer), each flagged resurrected when raised after its
+  /// deadline. Never null. Successive snapshots share one vector until
+  /// a transition changes it, so a publish without transitions copies
+  /// nothing.
+  std::shared_ptr<const std::vector<zombie::ZombieAlert>> zombies;
   /// Cumulative (prefix, peer) pairs that ever emerged on this shard —
   /// the batch-equivalent set (resurrections excluded by definition),
   /// sorted. Never null; shared like `zombies` until a new pair emerges.
@@ -179,12 +174,11 @@ class LiveService {
   /// stamp is replaced with now.
   bool submit(FeedItem&& item);
 
-  /// Registers an upcoming beacon announce/withdraw pair with the
-  /// shard owning the prefix. A whole schedule may be registered
-  /// upfront: the shard buffers events and releases each to its
-  /// detector only when the stream clock reaches the event's
-  /// announce_time, so a later cycle cannot supersede an earlier one
-  /// before the earlier deadline fires.
+  /// Registers a beacon announce/withdraw pair with the detector of
+  /// the shard owning the prefix. A whole schedule may be registered
+  /// up front: that detector holds each event until its stream time
+  /// reaches the announce_time (zombie/realtime.hpp), so a later cycle
+  /// cannot supersede an earlier one before the earlier deadline fires.
   void expect(const beacon::BeaconEvent& event);
 
   /// Drains every shard and advances all detectors to `at` (0 = one
@@ -199,7 +193,7 @@ class LiveService {
   /// Sum of shard epochs — changes whenever any shard republished.
   std::uint64_t epoch() const;
   /// All currently-stuck routes across shards.
-  std::vector<LiveZombie> zombies() const;
+  std::vector<zombie::ZombieAlert> zombies() const;
   /// Cumulative batch-equivalent emerge set across shards, sorted.
   std::vector<std::pair<netbase::Prefix, zombie::PeerKey>> emerged_pairs() const;
   std::vector<ShardStats> stats() const;

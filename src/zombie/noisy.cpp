@@ -39,9 +39,7 @@ std::vector<PeerStats> NoisyPeerFilter::noisy_peers(std::span<const PeerStats> s
   const double median = median_probability(stats);
   std::vector<PeerStats> out;
   for (const auto& s : stats) {
-    if (s.probability() > config_.probability_floor &&
-        s.probability() > config_.median_multiplier * median)
-      out.push_back(s);
+    if (is_noisy(s.probability(), median)) out.push_back(s);
   }
   std::sort(out.begin(), out.end(), [](const PeerStats& a, const PeerStats& b) {
     return a.probability() > b.probability();
@@ -60,13 +58,18 @@ std::set<PeerKey> NoisyPeerFilter::noisy_peer_keys(std::span<const ZombieRoute> 
 }
 
 double NoisyPeerFilter::median_probability(std::span<const PeerStats> stats) {
-  if (stats.empty()) return 0.0;
   std::vector<double> values;
   values.reserve(stats.size());
   for (const auto& s : stats) values.push_back(s.probability());
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+  return median(std::move(values));
+}
+
+double NoisyPeerFilter::median(std::vector<double> probabilities) {
+  if (probabilities.empty()) return 0.0;
+  std::sort(probabilities.begin(), probabilities.end());
+  const std::size_t n = probabilities.size();
+  return n % 2 == 1 ? probabilities[n / 2]
+                    : (probabilities[n / 2 - 1] + probabilities[n / 2]) / 2.0;
 }
 
 }  // namespace zombiescope::zombie

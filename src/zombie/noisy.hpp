@@ -57,6 +57,16 @@ class NoisyPeerFilter {
 
   /// Median stuck probability of the given peers (Table 4).
   static double median_probability(std::span<const PeerStats> stats);
+  /// Median of the probabilities, averaging the middle two for even
+  /// counts; 0 when empty.
+  static double median(std::vector<double> probabilities);
+  /// The rule: noisy iff `probability` exceeds the floor and
+  /// `median_multiplier` x the median of every peer's probability.
+  bool is_noisy(double probability, double median) const {
+    return probability > config_.probability_floor &&
+           probability > config_.median_multiplier * median;
+  }
+  const NoisyPeerConfig& config() const { return config_; }
 
  private:
   NoisyPeerConfig config_;

@@ -28,14 +28,30 @@ void journal_transition(obs::JournalEventType type, const netbase::Prefix& prefi
 
 void RealTimeZombieDetector::expect(const beacon::BeaconEvent& event) {
   if (event.superseded) return;
+  pending_.emplace(event.announce_time, event);
+  open_due();
+}
+
+void RealTimeZombieDetector::open_due() {
+  while (!pending_.empty() && pending_.begin()->first <= stream_time_) {
+    const auto next = pending_.extract(pending_.begin());
+    // Deadlines before the announce_time fire first, but not one
+    // stamped exactly there: it belongs after the records stamped
+    // there, which batch counts as in time. open() fires the one such
+    // deadline that cannot wait, the recycled prefix's own.
+    fire_until(next.key() - 1);
+    open(next.mapped());
+  }
+}
+
+void RealTimeZombieDetector::open(const beacon::BeaconEvent& event) {
   // A recycled prefix supersedes the previous watch. Any zombie the old
   // watch had raised is resolved at the recycle instant: the fresh
   // announcement replaces the stuck route, so the route is no longer
   // stale even though no withdrawal ever cleared it. An old deadline
   // that falls exactly on the recycle instant fires first: no later
-  // record can belong to the old window, and a caller that advanced
-  // only to announce_time - 1 (see LiveService) has not fired it yet.
-  // A later deadline never fires: the old window closes here.
+  // record can belong to the old window. A later deadline never fires:
+  // the old window closes here.
   auto it = watches_.find(event.prefix);
   if (it != watches_.end()) {
     Watch& old = it->second;
@@ -81,6 +97,7 @@ void RealTimeZombieDetector::raise(const Watch& watch, const PeerKey& peer,
   alert.peer = peer;
   alert.withdrawn_at = watch.event.withdraw_time;
   alert.raised_at = at;
+  alert.resurrected = at > deadline(watch);
   alert.stuck_path = state.path;
   ++active_version_;
   if (alert_fn_) alert_fn_(alert);
@@ -96,8 +113,14 @@ void RealTimeZombieDetector::fire_deadline(Watch& watch) {
 }
 
 void RealTimeZombieDetector::advance(netbase::TimePoint now) {
-  now_ = std::max(now_, now);
-  while (!due_.empty() && due_.top().first <= now_) {
+  stream_time_ = std::max(stream_time_, now);
+  open_due();
+  fire_until(now);
+}
+
+void RealTimeZombieDetector::fire_until(netbase::TimePoint t) {
+  fired_until_ = std::max(fired_until_, t);
+  while (!due_.empty() && due_.top().first <= fired_until_) {
     const Due due = due_.top();
     due_.pop();
     // Lazy deletion: the entry of a superseded watch finds its prefix
@@ -109,9 +132,12 @@ void RealTimeZombieDetector::advance(netbase::TimePoint now) {
 }
 
 void RealTimeZombieDetector::ingest(const mrt::MrtRecord& record) {
+  const netbase::TimePoint stamp = mrt::record_timestamp(record);
+  stream_time_ = std::max(stream_time_, stamp);
+  open_due();
   // Only deadlines strictly before the record fire here: an update
   // stamped exactly at withdraw + threshold is still in time.
-  advance(mrt::record_timestamp(record) - 1);
+  fire_until(stamp - 1);
 
   if (const auto* msg = std::get_if<mrt::Bgp4mpMessage>(&record)) {
     const PeerKey peer{msg->peer_asn, msg->peer_address};

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <queue>
 #include <vector>
 
@@ -30,6 +29,9 @@ struct ZombieAlert {
   PeerKey peer;
   netbase::TimePoint withdrawn_at = 0;
   netbase::TimePoint raised_at = 0;
+  /// Raised after the deadline: the route came back once the window
+  /// had passed clean. Live-only; batch folds it into the outbreak.
+  bool resurrected = false;
   bgp::AsPath stuck_path;
 };
 
@@ -61,19 +63,22 @@ using WindowPeers = std::map<PeerKey, WindowPeer>;
 /// Online detector. Usage:
 ///   RealTimeZombieDetector det(config);
 ///   det.on_alert([](const ZombieAlert& a) { ... });
-///   det.expect(event);              // register beacon schedule
+///   for (event : schedule) det.expect(event);  // any order, any time
 ///   for (record : stream) det.ingest(record);
 ///   det.advance(now);               // heartbeat fires due alerts
 ///
-/// It is the one owner of a stream's beacon windows (watches): each
-/// closes once, at its deadline or when a recycle replaces it before
-/// then, and on_window_close reports every close with the window's
-/// peers — how live feed-quality accounting (live/peerq.hpp) counts
-/// each peer's seen and missed cycles without a window table of its
-/// own. Per-record cost does not grow with the number of watches:
-/// deadlines sit in a min-heap and the alerted routes in their own
-/// map. A session reset, which clears the peer from every watch, is
-/// the exception.
+/// It owns a stream's beacon schedule: it buffers registered events,
+/// keeps the stream time, opens each event's window (watch) when that
+/// time reaches its announce_time, and flags each alert raised after
+/// its deadline as resurrected — callers release nothing and derive
+/// nothing. Each window closes once, at its deadline or when a recycle
+/// replaces it before then, and on_window_close reports every close
+/// with the window's peers — how live feed-quality accounting
+/// (live/peerq.hpp) counts each peer's seen and missed cycles without
+/// a window table of its own. Per-record cost does not grow with the
+/// number of watches: pending events and deadlines sit in ordered
+/// queues and the alerted routes in their own map. A session reset,
+/// which clears the peer from every watch, is the exception.
 class RealTimeZombieDetector {
  public:
   explicit RealTimeZombieDetector(RealTimeConfig config) : config_(std::move(config)) {}
@@ -82,32 +87,45 @@ class RealTimeZombieDetector {
   void on_resolution(std::function<void(const ZombieResolution&)> fn) {
     resolution_fn_ = std::move(fn);
   }
-  /// Called once per closed window: after its deadline's alerts, or at
-  /// the expect() that recycles its prefix before the deadline.
+  /// Called once per closed window: after its deadline's alerts, or
+  /// when the window recycling its prefix opens before the deadline.
   void on_window_close(std::function<void(const WindowPeers&)> fn) {
     window_close_fn_ = std::move(fn);
   }
 
-  /// Registers an upcoming beacon announce/withdraw pair. Superseded
-  /// events are ignored per the paper's collision rule. A watch already
-  /// registered for the prefix is replaced (prefix recycled); if its
-  /// deadline falls exactly on the new announce_time it fires first,
-  /// and if it falls later the window closes unfired.
+  /// Registers a beacon announce/withdraw pair; a whole schedule may
+  /// be registered up front, in any order. The event waits until the
+  /// stream time reaches its announce_time, so a later cycle cannot
+  /// replace an earlier one before the earlier deadline fires. Due
+  /// events open in (announce_time, registration) order, each after
+  /// every deadline strictly before its announce_time has fired; an
+  /// event already due (announce_time <= stream_time()) opens at once.
+  /// Superseded events are ignored per the paper's collision rule.
+  /// Opening a window replaces the prefix's previous one (prefix
+  /// recycled): if that one's deadline falls exactly on the new
+  /// announce_time it fires first, and if it falls later the window
+  /// closes unfired.
   void expect(const beacon::BeaconEvent& event);
 
-  /// Feeds one record. Deadlines strictly before the record's timestamp
-  /// fire first; a deadline equal to it fires only after the record is
-  /// applied, so an update stamped exactly at withdraw + threshold is
-  /// in time, as in the batch LongLivedZombieDetector.
+  /// Feeds one record and moves the stream time to its timestamp.
+  /// Events due by then open first. Deadlines strictly before the
+  /// timestamp fire next; a deadline equal to it fires only after the
+  /// record is applied, so an update stamped exactly at withdraw +
+  /// threshold is in time, as in the batch LongLivedZombieDetector.
   void ingest(const mrt::MrtRecord& record);
 
-  /// Moves the clock forward, firing every deadline <= now in
-  /// (deadline, prefix) order. Costs O(log watches) per fired or
-  /// superseded deadline, nothing per idle watch.
+  /// Moves the stream time to `now`: opens due events, then fires
+  /// every deadline <= now in (deadline, prefix) order. Costs
+  /// O(log n) per opened event and per fired or superseded deadline,
+  /// nothing per idle watch.
   void advance(netbase::TimePoint now);
 
+  /// The largest record timestamp or advance() instant seen so far.
+  netbase::TimePoint stream_time() const { return stream_time_; }
+
   /// Currently stuck (alerted, unresolved) routes in (prefix, peer)
-  /// order, with the raised_at of their alert and their latest path.
+  /// order, with their alert's raised_at and resurrected flag and
+  /// their latest path.
   /// Walks only the alerted routes.
   std::vector<ZombieAlert> active_zombies() const;
 
@@ -129,6 +147,12 @@ class RealTimeZombieDetector {
   netbase::TimePoint deadline(const Watch& watch) const {
     return watch.event.withdraw_time + config_.threshold;
   }
+  /// Opens every pending event whose announce_time has been reached.
+  void open_due();
+  /// Opens the event's window, replacing the prefix's previous one.
+  void open(const beacon::BeaconEvent& event);
+  /// Fires every deadline <= t in (deadline, prefix) order.
+  void fire_until(netbase::TimePoint t);
   void fire_deadline(Watch& watch);
   /// Marks the route alerted, records it in alerted_, and notifies.
   void raise(const Watch& watch, const PeerKey& peer, WindowPeer& state,
@@ -141,18 +165,23 @@ class RealTimeZombieDetector {
   std::function<void(const ZombieAlert&)> alert_fn_;
   std::function<void(const ZombieResolution&)> resolution_fn_;
   std::function<void(const WindowPeers&)> window_close_fn_;
-  /// Watches keyed by prefix; a new expect() for the same prefix
-  /// supersedes the old watch (prefix recycled).
+  /// Registered events not yet open, by announce_time; equal times
+  /// keep registration order.
+  std::multimap<netbase::TimePoint, beacon::BeaconEvent> pending_;
+  /// Open watches keyed by prefix; opening another event for the same
+  /// prefix supersedes the old watch (prefix recycled).
   std::map<netbase::Prefix, Watch> watches_;
-  /// (deadline, prefix) min-heap driving advance(). A recycled prefix
-  /// leaves its old entry behind; advance() skips an entry whose
+  /// (deadline, prefix) min-heap driving fire_until(). A recycled
+  /// prefix leaves its old entry behind, which is skipped when its
   /// watch has already fired or now carries another deadline.
   using Due = std::pair<netbase::TimePoint, netbase::Prefix>;
   std::priority_queue<Due, std::vector<Due>, std::greater<>> due_;
   /// The alerted, unresolved routes: what active_zombies() returns.
   std::map<std::pair<netbase::Prefix, PeerKey>, ZombieAlert> alerted_;
   std::uint64_t active_version_ = 0;
-  netbase::TimePoint now_ = 0;
+  netbase::TimePoint stream_time_ = 0;
+  /// Every deadline <= fired_until_ has fired.
+  netbase::TimePoint fired_until_ = 0;
   int alerts_raised_ = 0;
   int resolutions_ = 0;
 };

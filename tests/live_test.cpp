@@ -28,6 +28,7 @@
 #include "obs/http.hpp"
 #include "obs/journal.hpp"
 #include "obs/lathist.hpp"
+#include "random_stream.hpp"
 
 namespace zombiescope::live {
 namespace {
@@ -246,9 +247,9 @@ TEST(ObsLiveShard, MultiPrefixUpdateSplitsIntoOnePiecePerShard) {
   ASSERT_EQ(zombies.size(), prefixes.size());
   std::set<Prefix> emerged;
   for (const auto& zombie : zombies) {
-    EXPECT_EQ(zombie.alert.peer, peer_a());
-    EXPECT_EQ(zombie.alert.stuck_path, path) << zombie.alert.prefix.to_string();
-    emerged.insert(zombie.alert.prefix);
+    EXPECT_EQ(zombie.peer, peer_a());
+    EXPECT_EQ(zombie.stuck_path, path) << zombie.prefix.to_string();
+    emerged.insert(zombie.prefix);
   }
   EXPECT_EQ(emerged, std::set<Prefix>(prefixes.begin(), prefixes.end()));
   service.stop();
@@ -276,7 +277,7 @@ TEST(ObsLiveShard, EmergeThenDieViaWithdrawal) {
   EXPECT_EQ(pairs[0].second, peer_b());
   auto zombies = service.zombies();
   ASSERT_EQ(zombies.size(), 1u);
-  EXPECT_EQ(zombies[0].alert.peer, peer_b());
+  EXPECT_EQ(zombies[0].peer, peer_b());
   EXPECT_FALSE(zombies[0].resurrected);
   // The stuck route finally clears: a die event, no active zombie.
   ASSERT_TRUE(service.submit(withdraw(w + 20 * kMinute, peer_b(), prefix)));
@@ -310,15 +311,15 @@ TEST(ObsLiveShard, ResurrectedZombieIsFlaggedUntilItDies) {
   service.finalize(w + 6 * kMinute);
   auto zombies = service.zombies();
   ASSERT_EQ(zombies.size(), 1u);
-  EXPECT_EQ(zombies[0].alert.peer, peer_b());
+  EXPECT_EQ(zombies[0].peer, peer_b());
   EXPECT_FALSE(zombies[0].resurrected);
 
   ASSERT_TRUE(service.submit(announce(w + 8 * kMinute, peer_a(), prefix)));
   service.finalize(w + 9 * kMinute);
   zombies = service.zombies();
   ASSERT_EQ(zombies.size(), 2u);
-  EXPECT_EQ(zombies[0].alert.peer, peer_a());
-  EXPECT_EQ(zombies[0].alert.raised_at, w + 8 * kMinute);
+  EXPECT_EQ(zombies[0].peer, peer_a());
+  EXPECT_EQ(zombies[0].raised_at, w + 8 * kMinute);
   EXPECT_TRUE(zombies[0].resurrected);
   EXPECT_FALSE(zombies[1].resurrected);
 
@@ -329,7 +330,7 @@ TEST(ObsLiveShard, ResurrectedZombieIsFlaggedUntilItDies) {
   service.finalize(w + 11 * kMinute);
   zombies = service.zombies();
   ASSERT_EQ(zombies.size(), 2u);
-  EXPECT_EQ(zombies[0].alert.stuck_path, path);
+  EXPECT_EQ(zombies[0].stuck_path, path);
   EXPECT_TRUE(zombies[0].resurrected);
   EXPECT_FALSE(zombies[1].resurrected);
 
@@ -337,7 +338,7 @@ TEST(ObsLiveShard, ResurrectedZombieIsFlaggedUntilItDies) {
   service.finalize(w + 13 * kMinute);
   zombies = service.zombies();
   ASSERT_EQ(zombies.size(), 1u);
-  EXPECT_EQ(zombies[0].alert.peer, peer_b());
+  EXPECT_EQ(zombies[0].peer, peer_b());
   EXPECT_FALSE(zombies[0].resurrected);
   const auto snap = service.snapshot(0);
   EXPECT_EQ(snap->emerged, 1u);
@@ -381,6 +382,69 @@ TEST(ObsLiveShard, UpfrontScheduleDeliveredInStreamOrder) {
   EXPECT_EQ(emerged, 2u);
   EXPECT_EQ(died, 1u);
   service.stop();
+}
+
+TEST(ObsLiveRandomized, UpfrontScheduleMatchesStreamOrderDetector) {
+  // The service, given each random stream's whole schedule up front,
+  // must emerge, resurrect, die and close cycles exactly as one
+  // detector does when each event is released in stream order, at
+  // one shard and across three.
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const random_stream::Stream stream = random_stream::generate(seed);
+    zombie::RealTimeZombieDetector reference(
+        zombie::RealTimeConfig{random_stream::kThreshold});
+    std::set<EmergedPair> pairs;
+    std::uint64_t emerged = 0;
+    std::uint64_t resurrected = 0;
+    std::uint64_t died = 0;
+    std::uint64_t closes = 0;
+    reference.on_alert([&](const zombie::ZombieAlert& alert) {
+      const bool on_deadline =
+          alert.raised_at == alert.withdrawn_at + random_stream::kThreshold;
+      EXPECT_EQ(alert.resurrected, !on_deadline) << "seed " << seed;
+      if (on_deadline) {
+        pairs.insert({alert.prefix, alert.peer});
+        ++emerged;
+      } else {
+        ++resurrected;
+      }
+    });
+    reference.on_resolution([&](const zombie::ZombieResolution&) { ++died; });
+    reference.on_window_close([&](const zombie::WindowPeers&) { ++closes; });
+    random_stream::drive_in_stream_order(reference, stream);
+
+    for (const std::size_t shards : {1u, 3u}) {
+      LiveConfig config;
+      config.shards = shards;
+      config.block_on_full = true;
+      config.detector.threshold = random_stream::kThreshold;
+      LiveService service(config);
+      service.start();
+      for (const auto& event : stream.schedule) service.expect(event);
+      for (const auto& record : stream.records) ASSERT_TRUE(service.submit(record));
+      service.finalize();
+      const std::string where = "seed " + std::to_string(seed) + ", " +
+                                std::to_string(shards) + " shards\n" +
+                                random_stream::describe(stream);
+      EXPECT_EQ(service.emerged_pairs(),
+                std::vector<EmergedPair>(pairs.begin(), pairs.end()))
+          << where;
+      std::uint64_t live_emerged = 0;
+      std::uint64_t live_resurrected = 0;
+      std::uint64_t live_died = 0;
+      for (std::size_t i = 0; i < shards; ++i) {
+        live_emerged += service.snapshot(i)->emerged;
+        live_resurrected += service.snapshot(i)->resurrected;
+        live_died += service.snapshot(i)->died;
+      }
+      EXPECT_EQ(live_emerged, emerged) << where;
+      EXPECT_EQ(live_resurrected, resurrected) << where;
+      EXPECT_EQ(live_died, died) << where;
+      EXPECT_EQ(service.peers()->total_cycles, closes) << where;
+      service.stop();
+      if (HasFailure()) return;
+    }
+  }
 }
 
 TEST(ObsLiveShard, EpochsAdvanceMonotonically) {
@@ -1224,22 +1288,22 @@ TEST(ObsPeerQ, SilentEpisodeJournaledOncePerEpisode) {
                          clock, true, false);
   };
 
-  auto table = build_at(1, 1000 + config.silent_after);  // not yet past
+  auto table = build_at(1, 1000 + kSilentAfter);  // not yet past
   EXPECT_FALSE(table->rows[0].silent);
   EXPECT_EQ(table->feeding_count, 1u);
-  table = build_at(2, 1000 + config.silent_after + 1);
+  table = build_at(2, 1000 + kSilentAfter + 1);
   EXPECT_TRUE(table->rows[0].silent);
   EXPECT_EQ(table->silent_count, 1u);
   EXPECT_EQ(table->feeding_count, 0u);
   // Still silent on the next build: no second journal event.
-  table = build_at(3, 1000 + 2 * config.silent_after);
+  table = build_at(3, 1000 + 2 * kSilentAfter);
   EXPECT_TRUE(table->rows[0].silent);
   // Peer comes back, goes quiet again: a fresh episode, a fresh event.
   cell.last_seen = 100000;
   cell.updates = 6;
   table = build_at(4, 100000 + 60);
   EXPECT_FALSE(table->rows[0].silent);
-  table = build_at(5, 100000 + config.silent_after + 1);
+  table = build_at(5, 100000 + kSilentAfter + 1);
   EXPECT_TRUE(table->rows[0].silent);
 
   const auto events = journal.tail(16);
@@ -1249,7 +1313,7 @@ TEST(ObsPeerQ, SilentEpisodeJournaledOncePerEpisode) {
     ++silent_events;
     EXPECT_TRUE(ev.has_peer);
     EXPECT_EQ(ev.peer_asn, peer_a().asn);
-    EXPECT_GT(ev.a, config.silent_after);  // silent age
+    EXPECT_GT(ev.a, kSilentAfter);  // silent age
   }
   EXPECT_EQ(silent_events, 2u);
   journal.reset();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "random_stream.hpp"
 #include "zombie/realtime.hpp"
 
 namespace zombiescope::zombie {
@@ -136,10 +139,15 @@ TEST(RealTime, RecycledPrefixSupersedesWatch) {
   h.detector.expect(event_at(t0));
   h.detector.ingest(announce(t0 + 10, peer_a(), kBeacon));
   // The prefix recycles a day later before the stuck route cleared.
-  h.detector.expect(event_at(t0 + 24 * kHour));
   h.detector.advance(t0 + 24 * kHour);
-  // The old watch is gone: no alert for the old interval.
-  EXPECT_TRUE(h.alerts.empty());
+  h.detector.expect(event_at(t0 + 24 * kHour));
+  // The old window alerted at its deadline; the recycle supersedes its
+  // watch and resolves the stuck route.
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].raised_at, t0 + 15 * kMinute + 90 * kMinute);
+  ASSERT_EQ(h.resolutions.size(), 1u);
+  EXPECT_EQ(h.resolutions[0].resolved_at, t0 + 24 * kHour);
+  EXPECT_TRUE(h.detector.active_zombies().empty());
 }
 
 TEST(RealTime, WithdrawalAtExactDeadlineIsInTime) {
@@ -201,9 +209,10 @@ TEST(RealTime, RecycledPrefixOldDeadlineNeverFires) {
 }
 
 TEST(RealTime, DeadlineOnTheRecycleInstantFiresBeforeTheWatchIsReplaced) {
-  // A live shard advances only to announce_time - 1 before expect();
-  // the old window's deadline at exactly that instant still fires, and
-  // the recycle then resolves the alert.
+  // A record stamped at the recycle instant opens the recycle before
+  // that instant's deadlines fire; the old window's deadline at exactly
+  // that instant still fires first, and the recycle then resolves the
+  // alert.
   Harness h;
   const auto t0 = utc(2024, 6, 4, 12, 0, 0);
   const auto deadline = t0 + 15 * kMinute + 90 * kMinute;
@@ -211,6 +220,7 @@ TEST(RealTime, DeadlineOnTheRecycleInstantFiresBeforeTheWatchIsReplaced) {
   h.detector.ingest(announce(t0 + 10, peer_a(), kBeacon));
   h.detector.advance(deadline - 1);
   h.detector.expect(event_at(deadline));
+  h.detector.ingest(announce(deadline, peer_b(), kBeacon));
   ASSERT_EQ(h.alerts.size(), 1u);
   EXPECT_EQ(h.alerts[0].raised_at, deadline);
   ASSERT_EQ(h.resolutions.size(), 1u);
@@ -292,6 +302,7 @@ TEST(RealTime, WindowClosesAtItsDeadlineOrAtAnEarlierRecycle) {
   const auto t1 = t0 + 4 * kHour;
   h.detector.expect(event_at(t1));
   h.detector.ingest(announce(t1 + 10, peer_a(), kBeacon));
+  h.detector.advance(t1 + 45 * kMinute);
   h.detector.expect(event_at(t1 + 45 * kMinute));
   ASSERT_EQ(closes.size(), 2u);
   EXPECT_TRUE(closes[1].at(peer_a()).ann_seen);
@@ -311,6 +322,55 @@ TEST(RealTime, CountersTrackTotals) {
   EXPECT_EQ(h.detector.alerts_raised(), 2);
   h.detector.ingest(withdraw(t0 + 5 * kHour, peer_a(), kBeacon));
   EXPECT_EQ(h.detector.resolutions(), 1);
+}
+
+TEST(RealTimeRandomized, UpfrontScheduleMatchesStreamOrderRelease) {
+  // Given the whole schedule up front, in shuffled order, the detector
+  // must raise, resolve and close exactly what it does when each event
+  // is released in stream order. The sums over every seed show the
+  // streams reach the ties that ordering decides.
+  int on_deadline = 0;
+  int resurrected = 0;
+  int resolutions = 0;
+  int records_on_deadline = 0;
+  int recycles_on_deadline = 0;
+  for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
+    const random_stream::Stream stream = random_stream::generate(seed);
+    RealTimeZombieDetector upfront(RealTimeConfig{random_stream::kThreshold});
+    RealTimeZombieDetector reference(RealTimeConfig{random_stream::kThreshold});
+    std::vector<std::string> upfront_trace;
+    std::vector<std::string> reference_trace;
+    random_stream::record_trace(upfront, upfront_trace);
+    random_stream::record_trace(reference, reference_trace);
+    random_stream::drive_upfront(upfront, stream);
+    random_stream::drive_in_stream_order(reference, stream);
+    ASSERT_EQ(upfront_trace, reference_trace)
+        << "seed " << seed << "\n" << random_stream::describe(stream);
+
+    for (const std::string& line : reference_trace) {
+      if (line.starts_with("alert")) {
+        ++(line.find(" resurrected ") == std::string::npos ? on_deadline : resurrected);
+      }
+      if (line.starts_with("resolve")) ++resolutions;
+    }
+    std::set<std::pair<netbase::Prefix, netbase::TimePoint>> deadlines;
+    std::set<netbase::TimePoint> deadline_instants;
+    for (const BeaconEvent& event : stream.schedule) {
+      if (event.superseded) continue;
+      deadlines.emplace(event.prefix, event.withdraw_time + random_stream::kThreshold);
+      deadline_instants.insert(event.withdraw_time + random_stream::kThreshold);
+    }
+    for (const BeaconEvent& event : stream.schedule)
+      if (!event.superseded && deadlines.contains({event.prefix, event.announce_time}))
+        ++recycles_on_deadline;
+    for (const auto& record : stream.records)
+      if (deadline_instants.contains(mrt::record_timestamp(record))) ++records_on_deadline;
+  }
+  EXPECT_GT(on_deadline, 0);
+  EXPECT_GT(resurrected, 0);
+  EXPECT_GT(resolutions, 0);
+  EXPECT_GT(records_on_deadline, 0);
+  EXPECT_GT(recycles_on_deadline, 0);
 }
 
 }  // namespace

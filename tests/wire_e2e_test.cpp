@@ -751,9 +751,9 @@ TEST(WireE2E, BridgeSessionCountsFromItsOpen) {
   rig.service.finalize();
   const auto zombies = rig.service.zombies();
   ASSERT_EQ(zombies.size(), 1u);
-  EXPECT_EQ(zombies[0].alert.prefix, event.prefix);
-  EXPECT_EQ(zombies[0].alert.peer.address, a_address);
-  EXPECT_EQ(zombies[0].alert.raised_at, deadline) << "stamp 1 was submitted before stamp 0";
+  EXPECT_EQ(zombies[0].prefix, event.prefix);
+  EXPECT_EQ(zombies[0].peer.address, a_address);
+  EXPECT_EQ(zombies[0].raised_at, deadline) << "stamp 1 was submitted before stamp 0";
 }
 
 // ------------------------------------------------- the equivalence run
