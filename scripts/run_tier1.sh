@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the plain build + full test suite, then the obs
+# Tier-1 verification: the plain build (every target, warnings as
+# errors: -DZOMBIESCOPE_WERROR=ON) + full test suite, then the obs
 # subsystem's tests again under ThreadSanitizer (its hot paths — the
 # metrics cells, the span ring, the journal MPSC ring, the causal
 # tracer's hop ring, and the zsprof sample rings + SIGPROF handler —
@@ -44,8 +45,8 @@ BUILD_DIR="${1:-build}"
 TSAN_DIR="${BUILD_DIR}-tsan"
 ASAN_DIR="${BUILD_DIR}-asan"
 
-echo "== tier-1: plain build + ctest (${BUILD_DIR})"
-cmake -B "${BUILD_DIR}" -S .
+echo "== tier-1: plain build (-Werror) + ctest (${BUILD_DIR})"
+cmake -B "${BUILD_DIR}" -S . -DZOMBIESCOPE_WERROR=ON
 cmake --build "${BUILD_DIR}" -j
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 
@@ -235,7 +236,7 @@ soak_zslived() {
   # shard detectors' window closes; the tap demo's 4 beacons share
   # withdraw times, so several windows close at one instant. The noisy
   # check cannot fail on this demo: the soak closes about 8 cycles,
-  # under PeerQConfig::min_cycles (20), and the lossy session's peers
+  # under live::kNoisyMinCycles (20), and the lossy session's peers
   # stay stuck in most cycles, which holds the median near 0.75.
   case "${peers_json}" in
     *'"peers":[{'*) ;;

@@ -44,7 +44,9 @@ TEST(ObsLatHist, EdgesAreConsistentWithIndexing) {
   for (std::size_t i = 0; i < 20 * kLatSubBuckets; ++i) {
     EXPECT_EQ(lat_bucket_index(lat_bucket_lower(i)), i) << "bucket " << i;
     EXPECT_EQ(lat_bucket_index(lat_bucket_upper(i)), i) << "bucket " << i;
-    if (i > 0) EXPECT_EQ(lat_bucket_lower(i), lat_bucket_upper(i - 1) + 1);
+    if (i > 0) {
+      EXPECT_EQ(lat_bucket_lower(i), lat_bucket_upper(i - 1) + 1);
+    }
   }
   EXPECT_EQ(lat_bucket_lower(kLatSubBuckets), kLatSubBuckets);
   // The largest representable latency maps inside the table.

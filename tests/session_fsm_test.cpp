@@ -153,7 +153,7 @@ TEST(SessionFsm, SendHoldTimerRestartsOnPartialProgress) {
 TEST(SessionFsm, NotificationDropsSession) {
   Wire wire(plain(), plain());
   wire.establish();
-  wire.b.receive(wire.now, FsmMessage{MessageType::kNotification, std::nullopt});
+  wire.b.receive(wire.now, FsmMessage{MessageType::kNotification, std::nullopt, std::nullopt});
   EXPECT_EQ(wire.b.state(), FsmState::kIdle);
   EXPECT_EQ(wire.b.last_error(), "NOTIFICATION from peer");
 }

@@ -172,8 +172,9 @@ TEST(WireCodec, SplitUpdateKeepsEveryRouteAndFitsTheWire) {
     EXPECT_LE(wire.size(), kMaxMessageSize);
     announced += part.announced.size();
     withdrawn += part.withdrawn.size();
-    if (!part.announced.empty())
+    if (!part.announced.empty()) {
       EXPECT_EQ(part.attributes.as_path, update.attributes.as_path);
+    }
   }
   EXPECT_EQ(announced, update.announced.size());
   EXPECT_EQ(withdrawn, update.withdrawn.size());

@@ -3,7 +3,7 @@
 // Runs the zslive service (live/service.hpp) against one of three
 // feeds and serves the result over HTTP while it happens:
 //
-//   zslived --replay updates.mrt --schedule daily --start 2024-03-01 \
+//   zslived --replay updates.mrt --schedule daily --start 2024-03-01
 //           --end 2024-03-02 --speed 60 --http-port 8080
 //       replays an archived day at 60 simulated seconds per wall
 //       second; curl /live/zombies for the current stuck set,
